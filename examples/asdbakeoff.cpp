@@ -7,22 +7,21 @@
  * leaderboard, and exits non-zero if any job failed. The two report
  * files are byte-identical across runs and thread counts.
  *
- * Usage:
- *   asdbakeoff [--suites spec,nas,commercial] [--bench NAME]...
- *              [--prefetchers asd,dspatch,...] [--vm] [--os]
- *              [--accesses N] [--warm-start CYCLES] [--threads N]
- *              [--out DIR] [--resume] [--list] [--quiet]
+ * `asdbakeoff --help` lists the flags, generated from the flag table
+ * in parseArgs().
  */
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "arena/bakeoff.hpp"
 #include "arena/report.hpp"
+#include "common/flags.hpp"
 #include "common/log.hpp"
 
 namespace
@@ -38,138 +37,58 @@ struct CliConfig
     bool quiet = false;
 };
 
-void
-usage()
-{
-    std::cout
-        << "usage: asdbakeoff [options]\n"
-           "  --suites LIST       comma list of spec,nas,commercial "
-           "(default all three)\n"
-           "  --bench NAME        extra benchmark by name "
-           "(repeatable; with --suites none,\n"
-           "                      these are the whole grid)\n"
-           "  --prefetchers LIST  contender registry names "
-           "(default: every registered one;\n"
-           "                      see --list)\n"
-           "  --vm                also run every workload with 4 KiB "
-           "random-placement VM\n"
-           "  --os                also run every workload under the "
-           "OS memory model\n"
-           "                      (demand paging, finite frames, "
-           "CLOCK reclaim)\n"
-           "  --accesses N        per-benchmark trace-length "
-           "override\n"
-           "  --warm-start CYCLES warm-up cycles shared across "
-           "contenders per workload\n"
-           "                      (default 20000; 0 disables "
-           "snapshot sharing)\n"
-           "  --threads N         worker threads (default hardware)\n"
-           "  --out DIR           report + per-job records + warm-up "
-           "snapshots\n"
-           "                      (default results/bakeoff)\n"
-           "  --resume            adopt ok per-job records already "
-           "under --out\n"
-           "  --list              print the prefetcher registry and "
-           "exit\n"
-           "  --quiet             no progress line\n";
-}
-
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? text.size() : comma;
-        if (end > start)
-            parts.push_back(text.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return parts;
-}
-
-std::uint64_t
-parseU64(const std::string &text, const std::string &flag)
-{
-    try {
-        std::size_t pos = 0;
-        const unsigned long long v = std::stoull(text, &pos);
-        if (pos != text.size())
-            throw std::invalid_argument(text);
-        return v;
-    } catch (const std::exception &) {
-        fatal("invalid value for " + flag + ": " + text);
-    }
-}
-
-std::vector<Suite>
-parseSuites(const std::string &text)
-{
-    std::vector<Suite> suites;
-    for (const std::string &name : splitCommas(text)) {
-        if (name == "spec")
-            suites.push_back(Suite::Spec2006fp);
-        else if (name == "nas")
-            suites.push_back(Suite::Nas);
-        else if (name == "commercial")
-            suites.push_back(Suite::Commercial);
-        else if (name == "none")
-            ; // suites cleared; grid comes from --bench
-        else
-            fatal("unknown suite (use spec|nas|commercial|none): " +
-                  name);
-    }
-    return suites;
-}
-
 CliConfig
 parseArgs(int argc, char **argv)
 {
     CliConfig cli;
-    const auto next = [&](int &i, const std::string &flag) {
-        if (i + 1 >= argc)
-            fatal("missing value for " + flag);
-        return std::string(argv[++i]);
+    BakeoffOptions &b = cli.bakeoff;
+    static constexpr EnumName<Suite> kSuiteNames[] = {
+        {Suite::Spec2006fp, "spec"},
+        {Suite::Nas, "nas"},
+        {Suite::Commercial, "commercial"},
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            std::exit(0);
-        } else if (arg == "--suites") {
-            cli.bakeoff.suites = parseSuites(next(i, arg));
-        } else if (arg == "--bench") {
-            cli.bakeoff.benchmarks.push_back(next(i, arg));
-        } else if (arg == "--prefetchers") {
-            cli.bakeoff.prefetchers = splitCommas(next(i, arg));
-        } else if (arg == "--vm") {
-            cli.bakeoff.vm_axis = true;
-        } else if (arg == "--os") {
-            cli.bakeoff.os_axis = true;
-        } else if (arg == "--accesses") {
-            cli.bakeoff.accesses = parseU64(next(i, arg), arg);
-        } else if (arg == "--warm-start") {
-            cli.bakeoff.warmup_cycles = parseU64(next(i, arg), arg);
-        } else if (arg == "--threads") {
-            cli.bakeoff.threads = static_cast<unsigned>(
-                parseU64(next(i, arg), arg));
-        } else if (arg == "--out") {
-            cli.out_dir = next(i, arg);
-        } else if (arg == "--resume") {
-            cli.bakeoff.resume = true;
-        } else if (arg == "--list") {
-            cli.list = true;
-        } else if (arg == "--quiet") {
-            cli.quiet = true;
-        } else {
-            usage();
-            fatal("unknown argument: " + arg);
-        }
-    }
+    const std::vector<Flag> flags = {
+        // "none" clears the suites, so the grid comes from --bench.
+        flag("--suites", "workload suites (default all three)",
+             listOf(offOr(enumValue<Suite>(kSuiteNames), "none")),
+             [&b](const std::vector<std::optional<Suite>> &suites) {
+                 b.suites.clear();
+                 for (const std::optional<Suite> &suite : suites) {
+                     if (suite)
+                         b.suites.push_back(*suite);
+                 }
+             }),
+        flag("--bench",
+             "extra benchmark by name (repeatable; with --suites none, "
+             "these are the whole grid)",
+             textValue(), appendTo(b.benchmarks), "NAME"),
+        flag("--prefetchers",
+             "contender registry names (default: every registered one; "
+             "see --list)",
+             b.prefetchers),
+        flag("--vm", "also run every workload with 4 KiB random-placement VM",
+             b.vm_axis),
+        flag("--os",
+             "also run every workload under the OS memory model (demand "
+             "paging, finite frames, CLOCK reclaim)",
+             b.os_axis),
+        flag("--accesses", "per-benchmark trace-length override",
+             b.accesses),
+        flag("--warm-start",
+             "warm-up cycles shared across contenders per workload "
+             "(default 20000; 0 disables snapshot sharing)",
+             b.warmup_cycles, "CYCLES"),
+        flag("--threads", "worker threads (default hardware)", b.threads),
+        flag("--out",
+             "report + per-job records + warm-up snapshots (default "
+             "results/bakeoff)",
+             cli.out_dir, "DIR"),
+        flag("--resume", "adopt ok per-job records already under --out",
+             b.resume),
+        flag("--list", "print the prefetcher registry and exit", cli.list),
+        flag("--quiet", "no progress line", cli.quiet),
+    };
+    parseFlags(argc, argv, "usage: asdbakeoff [options]", flags);
     return cli;
 }
 

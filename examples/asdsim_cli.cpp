@@ -14,13 +14,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "arena/registry.hpp"
+#include "common/flags.hpp"
 #include "common/log.hpp"
 #include "common/table.hpp"
 #include "sim/experiment.hpp"
@@ -55,373 +55,175 @@ struct CliArgs
     std::string tuner_json;      //!< per-decision JSON path
 };
 
-[[noreturn]] void
-usage()
-{
-    std::cout <<
-        "usage: asdsim_cli [options]\n"
-        "  --list                 list benchmarks and exit\n"
-        "  --list-prefetchers     list the prefetcher registry and "
-        "exit\n"
-        "  --bench NAME           benchmark to run (default GemsFDTD)\n"
-        "  --mode NP|PS|MS|PMS    prefetch configuration (default PMS)\n"
-        "  --ps power5|asd        processor-side prefetcher kind\n"
-        "  --mc-prefetcher asd|nextline|p5|ghb|stride|dspatch|"
-        "perceptron\n"
-        "                         memory-side prefetcher kind\n"
-        "  --scheduler ahb|memoryless|inorder|frfcfs\n"
-        "  --policy N             pin the LPQ policy (1..5)\n"
-        "  --buffer N             prefetch buffer lines (default 16)\n"
-        "  --slots N              stream filter slots (default 8)\n"
-        "  --degree N             max prefetch degree (default 1)\n"
-        "  --saturate             keep prefetching streams beyond Lm\n"
-        "  --ps-oracle            idealized (instant, free) PS fills\n"
-        "  --vm-policy identity|seq|random|huge\n"
-        "                         enable virtual memory with this\n"
-        "                         frame-allocation policy\n"
-        "  --vm-page-bytes N      base page size (default 4096)\n"
-        "  --vm-phys-mb N         physical memory size (default 4096)\n"
-        "  --vm-tlb-entries N     TLB entries (default 64)\n"
-        "  --vm-tlb-ways N        TLB associativity (default 4)\n"
-        "  --vm-walk-cycles N     page-walk stall (default 60)\n"
-        "  --vm-seed N            frame-shuffle seed\n"
-        "  --os                   enable the OS memory model (demand\n"
-        "                         paging over a finite frame pool with\n"
-        "                         CLOCK reclaim; excludes --vm-policy)\n"
-        "  --os-frames N          physical frames in the pool\n"
-        "                         (default 16384)\n"
-        "  --os-minor-cycles N    minor page-fault stall (default 800)\n"
-        "  --os-major-cycles N    major page-fault stall\n"
-        "                         (default 20000)\n"
-        "  --os-major-frac F      fraction of faults that are major\n"
-        "                         (default 0.02)\n"
-        "  --os-reclaim-cycles N  CLOCK reclaim stall (default 300)\n"
-        "  --os-writeback-cycles N\n"
-        "                         dirty-victim writeback stall\n"
-        "                         (default 2000)\n"
-        "  --os-walker radix|hashed\n"
-        "                         page-table walker style (default\n"
-        "                         radix)\n"
-        "  --os-probe-cycles N    hashed-walker per-probe stall\n"
-        "                         (default 20)\n"
-        "  --os-seed N            fault/frame-shuffle seed\n"
-        "  --tenants N            interleave N tenants of the chosen\n"
-        "                         benchmark (multi-tenant scenario\n"
-        "                         engine; incompatible with --smt)\n"
-        "  --tenants-zipf F       Zipf exponent of the per-tenant\n"
-        "                         intensity skew (default 1.0)\n"
-        "  --tenants-lifetime N   mean tenant lifetime in accesses\n"
-        "                         before departure (0 = immortal;\n"
-        "                         default 50000)\n"
-        "  --tenants-seed N       slot/lifetime draw seed\n"
-        "  --accesses N           trace length override\n"
-        "  --smt                  co-run two copies (SMT pair)\n"
-        "  --csv                  emit one CSV row instead of a table\n"
-        "  --json PATH            also write RunMetrics JSON to PATH\n"
-        "  --telemetry            record per-epoch telemetry without\n"
-        "                         an output sink (for --save-snapshot)\n"
-        "  --telemetry-csv PATH   write per-epoch telemetry CSV\n"
-        "  --telemetry-json PATH  write per-epoch telemetry JSON\n"
-        "  --telemetry-trace PATH write chrome://tracing JSON\n"
-        "  --telemetry-max-epochs N\n"
-        "                         cap the recorded epochs (0 = all)\n"
-        "  --telemetry-no-slh     omit per-thread SLH snapshots\n"
-        "  --warmup N             run N cycles before arming the\n"
-        "                         memory-side prefetcher\n"
-        "  --tune                 enable the phase-adaptive tuner\n"
-        "                         (requires MS/PMS with --mc-prefetcher\n"
-        "                         asd; incompatible with --smt)\n"
-        "  --tune-horizon N       shadow simulation length in cycles\n"
-        "                         (default 60000)\n"
-        "  --tune-min-epochs N    epochs between decisions (default 2)\n"
-        "  --tune-max-decisions N cap decisions per run (0 = all)\n"
-        "  --tune-threads N       shadow worker threads (default 1;\n"
-        "                         0 = hardware default)\n"
-        "  --tune-window N        phase detector window, epochs\n"
-        "                         (default 3)\n"
-        "  --tune-threshold N     phase change threshold, milli-pct\n"
-        "                         (default 40000)\n"
-        "  --tune-degrees LIST    comma-separated degree axis\n"
-        "  --tune-slots LIST      comma-separated filter-slot axis\n"
-        "  --tune-buffers LIST    comma-separated buffer-line axis\n"
-        "  --tune-epochs LIST     comma-separated epoch-length axis\n"
-        "  --tune-policies LIST   comma-separated policy axis\n"
-        "                         (0 = adaptive walk, 1..5 = pinned)\n"
-        "  --tuner-csv PATH       write the per-decision CSV log\n"
-        "  --tuner-json PATH      write the per-decision JSON log\n"
-        "  --save-snapshot PATH@CYCLE\n"
-        "                         run to CYCLE, write a checkpoint to\n"
-        "                         PATH, and exit (no report)\n"
-        "  --load-snapshot PATH   restore a checkpoint and run it to\n"
-        "                         completion; the machine config comes\n"
-        "                         from the snapshot, only output flags\n"
-        "                         (--csv/--json/--telemetry-*) apply\n";
-    std::exit(0);
-}
-
-PrefetchMode
-parseMode(const std::string &text)
-{
-    if (text == "NP")
-        return PrefetchMode::NP;
-    if (text == "PS")
-        return PrefetchMode::PS;
-    if (text == "MS")
-        return PrefetchMode::MS;
-    if (text == "PMS")
-        return PrefetchMode::PMS;
-    fatal("unknown mode: " + text);
-}
-
-SchedulerKind
-parseScheduler(const std::string &text)
-{
-    if (text == "ahb")
-        return SchedulerKind::Ahb;
-    if (text == "memoryless")
-        return SchedulerKind::Memoryless;
-    if (text == "inorder")
-        return SchedulerKind::InOrder;
-    if (text == "frfcfs")
-        return SchedulerKind::FrFcfs;
-    fatal("unknown scheduler: " + text);
-}
-
-/** Parse "1,2,4" into {1,2,4}; fatal on anything non-numeric. */
-std::vector<std::uint32_t>
-parseU32List(const std::string &flag, const std::string &text)
-{
-    std::vector<std::uint32_t> out;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        if (item.empty() ||
-            item.find_first_not_of("0123456789") != std::string::npos)
-            fatal(flag + " expects a comma-separated integer list, "
-                  "got: " + text);
-        out.push_back(static_cast<std::uint32_t>(
-            std::atoll(item.c_str())));
-        pos = comma + 1;
-    }
-    if (out.empty())
-        fatal(flag + " expects at least one value");
-    return out;
-}
-
 CliArgs
 parseArgs(int argc, char **argv)
 {
     CliArgs args;
-    std::vector<std::string> tokens(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-        const std::string &tok = tokens[i];
-        auto next = [&]() -> std::string {
-            if (++i >= tokens.size())
-                fatal("missing value after " + tok);
-            return tokens[i];
+    RunOptions &o = args.options;
+    const auto telemetryOut = [&o](std::string &path) {
+        return [&o, &path](std::string value) {
+            path = std::move(value);
+            o.telemetry.enabled = true;
         };
-        if (tok == "--help" || tok == "-h") {
-            usage();
-        } else if (tok == "--list") {
-            args.list = true;
-        } else if (tok == "--list-prefetchers") {
-            args.list_prefetchers = true;
-        } else if (tok == "--bench") {
-            args.bench = next();
-        } else if (tok == "--mode") {
-            args.options.mode = parseMode(next());
-        } else if (tok == "--ps") {
-            const std::string v = next();
-            if (v == "asd")
-                args.options.ps_kind = PsKind::Asd;
-            else if (v != "power5")
-                fatal("unknown --ps kind: " + v);
-        } else if (tok == "--mc-prefetcher") {
-            const std::string v = next();
-            const auto kind = parseMcPrefetcherKind(v);
-            if (!kind)
-                fatal("unknown --mc-prefetcher kind: " + v);
-            args.options.mc_prefetcher = *kind;
-        } else if (tok == "--scheduler") {
-            args.options.scheduler = parseScheduler(next());
-        } else if (tok == "--policy") {
-            args.options.fixed_policy = std::atoi(next().c_str());
-        } else if (tok == "--buffer") {
-            args.options.buffer_lines =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--slots") {
-            args.options.filter_slots =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--degree") {
-            args.options.max_degree =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--saturate") {
-            args.options.saturate_long_streams = true;
-        } else if (tok == "--ps-oracle") {
-            args.options.ps_oracle = true;
-        } else if (tok == "--vm-policy") {
-            const std::string v = next();
-            const auto policy = parseFrameAllocPolicy(v);
-            if (!policy)
-                fatal("unknown --vm-policy (use "
-                      "identity|seq|random|huge): " + v);
-            args.options.vm.enabled = true;
-            args.options.vm.policy = *policy;
-        } else if (tok == "--vm-page-bytes") {
-            args.options.vm.page_bytes = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--vm-phys-mb") {
-            args.options.vm.phys_bytes =
-                static_cast<std::uint64_t>(
-                    std::atoll(next().c_str())) << 20;
-        } else if (tok == "--vm-tlb-entries") {
-            args.options.vm.tlb.entries =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--vm-tlb-ways") {
-            args.options.vm.tlb.ways =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--vm-walk-cycles") {
-            args.options.vm.tlb.walk_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--vm-seed") {
-            args.options.vm.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--os") {
-            args.options.os.enabled = true;
-        } else if (tok == "--os-frames") {
-            args.options.os.frames = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--os-minor-cycles") {
-            args.options.os.minor_fault_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-major-cycles") {
-            args.options.os.major_fault_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-major-frac") {
-            args.options.os.major_fault_frac =
-                std::atof(next().c_str());
-        } else if (tok == "--os-reclaim-cycles") {
-            args.options.os.reclaim_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-writeback-cycles") {
-            args.options.os.writeback_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-walker") {
-            const std::string v = next();
-            const auto walker = parsePageWalkerKind(v);
-            if (!walker)
-                fatal("unknown --os-walker (use radix|hashed): " + v);
-            args.options.vm.walker = *walker;
-        } else if (tok == "--os-probe-cycles") {
-            args.options.os.hashed_probe_cycles =
-                static_cast<Cycles>(std::atoll(next().c_str()));
-        } else if (tok == "--os-seed") {
-            args.options.os.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--tenants") {
-            args.options.tenants.enabled = true;
-            args.options.tenants.slots =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-            if (args.options.tenants.slots == 0)
-                fatal("--tenants expects at least one slot");
-        } else if (tok == "--tenants-zipf") {
-            args.options.tenants.zipf_s = std::atof(next().c_str());
-        } else if (tok == "--tenants-lifetime") {
-            args.options.tenants.mean_lifetime =
-                static_cast<std::uint64_t>(std::atoll(next().c_str()));
-        } else if (tok == "--tenants-seed") {
-            args.options.tenants.seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--accesses") {
-            args.options.accesses = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
-        } else if (tok == "--smt") {
-            args.smt = true;
-        } else if (tok == "--csv") {
-            args.csv = true;
-        } else if (tok == "--json") {
-            args.json_path = next();
-        } else if (tok == "--telemetry-csv") {
-            args.telemetry_csv = next();
-            args.options.telemetry.enabled = true;
-        } else if (tok == "--telemetry-json") {
-            args.telemetry_json = next();
-            args.options.telemetry.enabled = true;
-        } else if (tok == "--telemetry-trace") {
-            args.telemetry_trace = next();
-            args.options.telemetry.enabled = true;
-        } else if (tok == "--telemetry") {
-            // Enable recording with no output sink — useful with
-            // --save-snapshot so the checkpoint carries the recorder
-            // state and a later --load-snapshot can emit the full
-            // time series.
-            args.options.telemetry.enabled = true;
-        } else if (tok == "--telemetry-max-epochs") {
-            args.options.telemetry.max_epochs =
-                static_cast<std::size_t>(std::atoll(next().c_str()));
-        } else if (tok == "--telemetry-no-slh") {
-            args.options.telemetry.capture_slh = false;
-        } else if (tok == "--tune") {
-            args.options.tuner.enabled = true;
-        } else if (tok == "--tune-horizon") {
-            args.options.tuner.shadow_horizon =
-                static_cast<Cycle>(std::atoll(next().c_str()));
-        } else if (tok == "--tune-min-epochs") {
-            args.options.tuner.min_epochs_between =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-max-decisions") {
-            args.options.tuner.max_decisions =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-threads") {
-            args.options.tuner.shadow_threads =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-window") {
-            args.options.tuner.phase_window =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-threshold") {
-            args.options.tuner.phase_threshold_milli_pct =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
-        } else if (tok == "--tune-degrees") {
-            args.options.tuner.space.degrees =
-                parseU32List(tok, next());
-        } else if (tok == "--tune-slots") {
-            args.options.tuner.space.filter_slots =
-                parseU32List(tok, next());
-        } else if (tok == "--tune-buffers") {
-            args.options.tuner.space.buffer_lines =
-                parseU32List(tok, next());
-        } else if (tok == "--tune-epochs") {
-            args.options.tuner.space.epoch_reads =
-                parseU32List(tok, next());
-        } else if (tok == "--tune-policies") {
-            args.options.tuner.space.policies =
-                parseU32List(tok, next());
-        } else if (tok == "--tuner-csv") {
-            args.tuner_csv = next();
-        } else if (tok == "--tuner-json") {
-            args.tuner_json = next();
-        } else if (tok == "--warmup") {
-            args.options.warmup_cycles =
-                static_cast<Cycle>(std::atoll(next().c_str()));
-        } else if (tok == "--save-snapshot") {
-            const std::string v = next();
-            const std::size_t at = v.rfind('@');
-            if (at == std::string::npos || at == 0 ||
-                at + 1 >= v.size()) {
-                fatal("--save-snapshot expects PATH@CYCLE, got: " + v);
-            }
-            args.save_path = v.substr(0, at);
-            args.save_cycle = static_cast<Cycle>(
-                std::atoll(v.c_str() + at + 1));
-        } else if (tok == "--load-snapshot") {
-            args.load_path = next();
-        } else {
-            fatal("unknown argument: " + tok + " (try --help)");
-        }
-    }
+    };
+    const std::vector<Flag> flags = {
+        flag("--list", "list benchmarks and exit", args.list),
+        flag("--list-prefetchers", "list the prefetcher registry and exit",
+             args.list_prefetchers),
+        flag("--bench", "benchmark to run (default GemsFDTD)", args.bench,
+             "NAME"),
+        flag("--mode", "prefetch configuration (default PMS)", o.mode),
+        flag("--ps", "processor-side prefetcher kind (default power5)",
+             o.ps_kind),
+        flag("--mc-prefetcher", "memory-side prefetcher kind (default asd)",
+             o.mc_prefetcher),
+        flag("--scheduler", "memory scheduler (default ahb)", o.scheduler),
+        flag("--policy", "pin the LPQ policy (1..5)", o.fixed_policy),
+        flag("--buffer", "prefetch buffer lines (default 16)",
+             o.buffer_lines),
+        flag("--slots", "stream filter slots (default 8)", o.filter_slots),
+        flag("--degree", "max prefetch degree (default 1)", o.max_degree),
+        flag("--saturate", "keep prefetching streams beyond Lm",
+             o.saturate_long_streams),
+        flag("--ps-oracle", "idealized (instant, free) PS fills",
+             o.ps_oracle),
+        flag("--vm-policy",
+             "enable virtual memory with this frame-allocation policy",
+             valueFor<FrameAllocPolicy>(),
+             [&o](FrameAllocPolicy policy) {
+                 o.vm.enabled = true;
+                 o.vm.policy = policy;
+             }),
+        flag("--vm-page-bytes", "base page size (default 4096)",
+             o.vm.page_bytes),
+        flag("--vm-phys-mb", "physical memory size (default 4096)",
+             uintIn<std::uint64_t>(0, ~std::uint64_t{0} >> 20),
+             [&o](std::uint64_t mb) { o.vm.phys_bytes = mb << 20; }),
+        flag("--vm-tlb-entries", "TLB entries (default 64)",
+             o.vm.tlb.entries),
+        flag("--vm-tlb-ways", "TLB associativity (default 4)",
+             o.vm.tlb.ways),
+        flag("--vm-walk-cycles", "page-walk stall (default 60)",
+             o.vm.tlb.walk_cycles),
+        flag("--vm-seed", "frame-shuffle seed", o.vm.seed),
+        flag("--os",
+             "enable the OS memory model (demand paging over a finite "
+             "frame pool with CLOCK reclaim; excludes --vm-policy)",
+             o.os.enabled),
+        flag("--os-frames", "physical frames in the pool (default 16384)",
+             o.os.frames),
+        flag("--os-minor-cycles", "minor page-fault stall (default 800)",
+             o.os.minor_fault_cycles),
+        flag("--os-major-cycles", "major page-fault stall (default 20000)",
+             o.os.major_fault_cycles),
+        flag("--os-major-frac",
+             "fraction of faults that are major (default 0.02)",
+             o.os.major_fault_frac),
+        flag("--os-reclaim-cycles", "CLOCK reclaim stall (default 300)",
+             o.os.reclaim_cycles),
+        flag("--os-writeback-cycles",
+             "dirty-victim writeback stall (default 2000)",
+             o.os.writeback_cycles),
+        flag("--os-walker", "page-table walker style (default radix)",
+             o.vm.walker),
+        flag("--os-probe-cycles",
+             "hashed-walker per-probe stall (default 20)",
+             o.os.hashed_probe_cycles),
+        flag("--os-seed", "fault/frame-shuffle seed", o.os.seed),
+        flag("--tenants",
+             "interleave N tenants of the chosen benchmark (multi-tenant "
+             "scenario engine; incompatible with --smt)",
+             uintIn<std::uint32_t>(1, ~std::uint32_t{0}),
+             [&o](std::uint32_t slots) {
+                 o.tenants.enabled = true;
+                 o.tenants.slots = slots;
+             }),
+        flag("--tenants-zipf",
+             "Zipf exponent of the per-tenant intensity skew (default 1.0)",
+             o.tenants.zipf_s),
+        flag("--tenants-lifetime",
+             "mean tenant lifetime in accesses before departure (0 = "
+             "immortal; default 50000)",
+             o.tenants.mean_lifetime),
+        flag("--tenants-seed", "slot/lifetime draw seed", o.tenants.seed),
+        flag("--accesses", "trace length override", o.accesses),
+        flag("--smt", "co-run two copies (SMT pair)", args.smt),
+        flag("--csv", "emit one CSV row instead of a table", args.csv),
+        flag("--json", "also write RunMetrics JSON to PATH",
+             args.json_path, "PATH"),
+        // Recording with no output sink is useful with --save-snapshot:
+        // the checkpoint carries the recorder state, so a later
+        // --load-snapshot can emit the full time series.
+        flag("--telemetry",
+             "record per-epoch telemetry without an output sink (for "
+             "--save-snapshot)",
+             o.telemetry.enabled),
+        flag("--telemetry-csv", "write per-epoch telemetry CSV",
+             textValue(), telemetryOut(args.telemetry_csv), "PATH"),
+        flag("--telemetry-json", "write per-epoch telemetry JSON",
+             textValue(), telemetryOut(args.telemetry_json), "PATH"),
+        flag("--telemetry-trace", "write chrome://tracing JSON",
+             textValue(), telemetryOut(args.telemetry_trace), "PATH"),
+        flag("--telemetry-max-epochs", "cap the recorded epochs (0 = all)",
+             o.telemetry.max_epochs),
+        {"--telemetry-no-slh", "", "omit per-thread SLH snapshots",
+         [&o](const std::string &) { o.telemetry.capture_slh = false; }},
+        flag("--warmup",
+             "run N cycles before arming the memory-side prefetcher",
+             o.warmup_cycles),
+        flag("--tune",
+             "enable the phase-adaptive tuner (requires MS/PMS with "
+             "--mc-prefetcher asd; incompatible with --smt)",
+             o.tuner.enabled),
+        flag("--tune-horizon",
+             "shadow simulation length in cycles (default 60000)",
+             o.tuner.shadow_horizon),
+        flag("--tune-min-epochs", "epochs between decisions (default 2)",
+             o.tuner.min_epochs_between),
+        flag("--tune-max-decisions", "cap decisions per run (0 = all)",
+             o.tuner.max_decisions),
+        flag("--tune-threads",
+             "shadow worker threads (default 1; 0 = hardware default)",
+             o.tuner.shadow_threads),
+        flag("--tune-window", "phase detector window, epochs (default 3)",
+             o.tuner.phase_window),
+        flag("--tune-threshold",
+             "phase change threshold, milli-pct (default 40000)",
+             o.tuner.phase_threshold_milli_pct),
+        flag("--tune-degrees", "degree axis", o.tuner.space.degrees),
+        flag("--tune-slots", "filter-slot axis", o.tuner.space.filter_slots),
+        flag("--tune-buffers", "buffer-line axis",
+             o.tuner.space.buffer_lines),
+        flag("--tune-epochs", "epoch-length axis",
+             o.tuner.space.epoch_reads),
+        flag("--tune-policies",
+             "policy axis (0 = adaptive walk, 1..5 = pinned)",
+             o.tuner.space.policies),
+        flag("--tuner-csv", "write the per-decision CSV log",
+             args.tuner_csv, "PATH"),
+        flag("--tuner-json", "write the per-decision JSON log",
+             args.tuner_json, "PATH"),
+        {"--save-snapshot", "PATH@CYCLE",
+         "run to CYCLE, write a checkpoint to PATH, and exit (no report)",
+         [&args](const std::string &text) {
+             const std::size_t at = text.rfind('@');
+             const auto cycle =
+                 at == std::string::npos
+                     ? std::nullopt
+                     : parseUnsigned<Cycle>(
+                           std::string_view(text).substr(at + 1));
+             if (at == 0 || !cycle)
+                 flagError("--save-snapshot", "PATH@CYCLE", text);
+             args.save_path = text.substr(0, at);
+             args.save_cycle = *cycle;
+         }},
+        flag("--load-snapshot",
+             "restore a checkpoint and run it to completion; the machine "
+             "config comes from the snapshot, only output flags "
+             "(--csv/--json/--telemetry-*) apply",
+             args.load_path, "PATH"),
+    };
+    parseFlags(argc, argv, "usage: asdsim_cli [options]", flags);
     return args;
 }
 

@@ -6,15 +6,8 @@
  * record per job plus a manifest (and optionally a flat CSV) under
  * --out. Exit status is non-zero if any job failed.
  *
- * Usage:
- *   asdsweep [--suite spec|nas|commercial|detailed|all]...
- *            [--bench NAME]...
- *            [--modes NP,PS,MS,PMS] [--prefetchers asd,nextline,...]
- *            [--buffer-lines 8,16,32] [--filter-slots 4,8,16]
- *            [--degrees 1,2] [--accesses N] [--seed N]
- *            [--threads N] [--timeout-ms N]
- *            [--warm-start CYCLES] [--snapshot-dir DIR] [--resume]
- *            [--out DIR] [--csv] [--quiet]
+ * `asdsweep --help` lists the flags, generated from the flag table in
+ * parseArgs().
  *
  * Thread count defaults to the ASD_SWEEP_THREADS environment
  * variable, then to the hardware concurrency.
@@ -27,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "common/log.hpp"
 #include "runner/result_sink.hpp"
 #include "runner/sweep_runner.hpp"
@@ -86,245 +80,88 @@ struct CliConfig
     bool tune = false;
 };
 
-void
-usage()
-{
-    std::cout
-        << "usage: asdsweep [options]\n"
-           "  --suite NAME        spec|nas|commercial|detailed|all "
-           "(repeatable; default detailed)\n"
-           "  --bench NAME        single benchmark (repeatable)\n"
-           "  --modes LIST        comma list of NP,PS,MS,PMS "
-           "(default all four)\n"
-           "  --prefetchers LIST  asd,nextline,p5,ghb,stride "
-           "(default asd)\n"
-           "  --buffer-lines LIST Prefetch Buffer sizes "
-           "(default 16)\n"
-           "  --filter-slots LIST Stream Filter sizes (default 8)\n"
-           "  --degrees LIST      max prefetch degrees (default 1)\n"
-           "  --vm-policies LIST  off,identity,seq,random,huge "
-           "(default off)\n"
-           "  --vm-page-bytes LIST\n"
-           "                      base page sizes (default 4096; "
-           "ignored for off/huge)\n"
-           "  --os-frames LIST    off or frame-pool sizes; a size "
-           "enables the OS\n"
-           "                      memory model for that grid point "
-           "(default off)\n"
-           "  --os-walkers LIST   radix,hashed page-table walkers "
-           "(default radix;\n"
-           "                      expanded only for OS-enabled "
-           "points)\n"
-           "  --tenants LIST      off or tenant-mix slot counts "
-           "(default off)\n"
-           "  --accesses N        per-benchmark trace-length "
-           "override\n"
-           "  --seed N            trace-seed override for every job\n"
-           "  --threads N         worker threads (default "
-           "$ASD_SWEEP_THREADS or hardware)\n"
-           "  --timeout-ms N      soft per-job wall-clock limit\n"
-           "  --warm-start CYCLES warm every job up for CYCLES with "
-           "the memory\n"
-           "                      side disarmed; jobs sharing a "
-           "warm-up simulate\n"
-           "                      it once and fork the snapshot "
-           "(results stay\n"
-           "                      byte-identical to cold starts)\n"
-           "  --snapshot-dir DIR  persist warm-up snapshots to DIR "
-           "and reuse\n"
-           "                      them across sweeps (default: "
-           "in-memory only)\n"
-           "  --resume            skip jobs whose <out> record "
-           "already exists,\n"
-           "                      parses, and reports status ok\n"
-           "  --out DIR           result directory "
-           "(default results/sweep)\n"
-           "  --csv               also write <out>/sweep.csv\n"
-           "  --telemetry         per-epoch telemetry per job under\n"
-           "                      <out>/telemetry/ (ASD jobs only)\n"
-           "  --tune              also run a phase-adaptive tuner "
-           "variant of\n"
-           "                      every ASD MS/PMS grid point "
-           "(job id +.tune)\n"
-           "  --quiet             no progress line\n";
-}
-
-std::vector<std::string>
-splitCommas(const std::string &text)
-{
-    std::vector<std::string> parts;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? text.size() : comma;
-        if (end > start)
-            parts.push_back(text.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return parts;
-}
-
-std::uint64_t
-parseU64(const std::string &text, const std::string &flag)
-{
-    try {
-        std::size_t pos = 0;
-        const unsigned long long v = std::stoull(text, &pos);
-        if (pos != text.size())
-            throw std::invalid_argument(text);
-        return v;
-    } catch (const std::exception &) {
-        fatal("invalid value for " + flag + ": " + text);
-    }
-}
-
-std::vector<std::uint32_t>
-parseU32List(const std::string &text, const std::string &flag)
-{
-    std::vector<std::uint32_t> values;
-    for (const std::string &part : splitCommas(text)) {
-        const std::uint64_t v = parseU64(part, flag);
-        if (v == 0 || v > 1u << 20)
-            fatal("out-of-range value for " + flag + ": " + part);
-        values.push_back(static_cast<std::uint32_t>(v));
-    }
-    if (values.empty())
-        fatal("empty list for " + flag);
-    return values;
-}
-
 CliConfig
 parseArgs(int argc, char **argv)
 {
     CliConfig cli;
-    const auto next = [&](int &i, const std::string &flag) {
-        if (i + 1 >= argc)
-            fatal("missing value for " + flag);
-        return std::string(argv[++i]);
+    const auto grid = listOf(uintIn<std::uint32_t>(1, 1u << 20));
+    const std::vector<Flag> flags = {
+        flag("--suite",
+             "spec|nas|commercial|detailed|all (repeatable; default "
+             "detailed)",
+             textValue(), appendTo(cli.suites), "NAME"),
+        flag("--bench", "single benchmark (repeatable)", textValue(),
+             appendTo(cli.bench_names), "NAME"),
+        flag("--modes", "prefetch modes (default all four)",
+             valueFor<std::vector<PrefetchMode>>(), appendTo(cli.modes)),
+        flag("--prefetchers", "memory-side prefetchers (default asd)",
+             valueFor<std::vector<McPrefetcherKind>>(),
+             appendTo(cli.prefetchers)),
+        flag("--buffer-lines", "Prefetch Buffer sizes (default 16)", grid,
+             cli.buffer_lines),
+        flag("--filter-slots", "Stream Filter sizes (default 8)", grid,
+             cli.filter_slots),
+        flag("--degrees", "max prefetch degrees (default 1)", grid,
+             cli.degrees),
+        flag("--vm-policies", "VM frame-allocation policies (default off)",
+             listOf(offOr(valueFor<FrameAllocPolicy>())),
+             appendTo(cli.vm_policies)),
+        flag("--vm-page-bytes",
+             "base page sizes (default 4096; ignored for off/huge)",
+             listOf(uintIn<std::uint64_t>(128, 1ULL << 30)),
+             appendTo(cli.vm_page_bytes)),
+        flag("--os-frames",
+             "off or frame-pool sizes; a size enables the OS memory model "
+             "for that grid point (default off)",
+             listOf(offOr(uintIn<std::uint64_t>(1, 1ULL << 32))),
+             appendTo(cli.os_frames)),
+        flag("--os-walkers",
+             "page-table walkers (default radix; expanded only for "
+             "OS-enabled points)",
+             valueFor<std::vector<PageWalkerKind>>(),
+             appendTo(cli.os_walkers)),
+        flag("--tenants", "off or tenant-mix slot counts (default off)",
+             listOf(offOr(uintIn<std::uint32_t>(1, 1024))),
+             appendTo(cli.tenant_slots)),
+        flag("--accesses", "per-benchmark trace-length override",
+             cli.accesses),
+        flag("--seed", "trace-seed override for every job", cli.seed),
+        flag("--threads",
+             "worker threads (default $ASD_SWEEP_THREADS or hardware)",
+             cli.threads),
+        flag("--timeout-ms", "soft per-job wall-clock limit",
+             valueFor<std::uint64_t>(),
+             [&cli](std::uint64_t ms) {
+                 cli.timeout_ms = static_cast<double>(ms);
+             }),
+        flag("--warm-start",
+             "warm every job up for CYCLES with the memory side disarmed; "
+             "jobs sharing a warm-up simulate it once and fork the "
+             "snapshot (results stay byte-identical to cold starts)",
+             uintIn<std::uint64_t>(1, ~std::uint64_t{0}),
+             cli.warm_start_cycles, "CYCLES"),
+        flag("--snapshot-dir",
+             "persist warm-up snapshots to DIR and reuse them across "
+             "sweeps (default: in-memory only)",
+             cli.snapshot_dir, "DIR"),
+        flag("--resume",
+             "skip jobs whose <out> record already exists, parses, and "
+             "reports status ok",
+             cli.resume),
+        flag("--out", "result directory (default results/sweep)",
+             cli.out_dir, "DIR"),
+        flag("--csv", "also write <out>/sweep.csv", cli.csv),
+        flag("--telemetry",
+             "per-epoch telemetry per job under <out>/telemetry/ (ASD "
+             "jobs only)",
+             cli.telemetry),
+        flag("--tune",
+             "also run a phase-adaptive tuner variant of every ASD MS/PMS "
+             "grid point (job id +.tune)",
+             cli.tune),
+        flag("--quiet", "no progress line", cli.quiet),
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help" || arg == "-h") {
-            usage();
-            std::exit(0);
-        } else if (arg == "--suite") {
-            cli.suites.push_back(next(i, arg));
-        } else if (arg == "--bench") {
-            cli.bench_names.push_back(next(i, arg));
-        } else if (arg == "--modes") {
-            for (const std::string &m : splitCommas(next(i, arg))) {
-                const auto mode = parsePrefetchMode(m);
-                if (!mode)
-                    fatal("unknown mode (use NP|PS|MS|PMS): " + m);
-                cli.modes.push_back(*mode);
-            }
-        } else if (arg == "--prefetchers") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                const auto kind = parseMcPrefetcherKind(p);
-                if (!kind)
-                    fatal("unknown prefetcher kind: " + p);
-                cli.prefetchers.push_back(*kind);
-            }
-        } else if (arg == "--buffer-lines") {
-            cli.buffer_lines = parseU32List(next(i, arg), arg);
-        } else if (arg == "--filter-slots") {
-            cli.filter_slots = parseU32List(next(i, arg), arg);
-        } else if (arg == "--degrees") {
-            cli.degrees = parseU32List(next(i, arg), arg);
-        } else if (arg == "--vm-policies") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                if (p == "off") {
-                    cli.vm_policies.push_back(std::nullopt);
-                    continue;
-                }
-                const auto policy = parseFrameAllocPolicy(p);
-                if (!policy)
-                    fatal("unknown VM policy (use "
-                          "off|identity|seq|random|huge): " + p);
-                cli.vm_policies.push_back(*policy);
-            }
-        } else if (arg == "--vm-page-bytes") {
-            for (const std::string &p :
-                 splitCommas(next(i, arg))) {
-                const std::uint64_t v = parseU64(p, arg);
-                if (v < 128 || v > (1ULL << 30))
-                    fatal("out-of-range value for " + arg + ": " + p);
-                cli.vm_page_bytes.push_back(v);
-            }
-            if (cli.vm_page_bytes.empty())
-                fatal("empty list for " + arg);
-        } else if (arg == "--os-frames") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                if (p == "off") {
-                    cli.os_frames.push_back(std::nullopt);
-                    continue;
-                }
-                const std::uint64_t v = parseU64(p, arg);
-                if (v == 0 || v > (1ULL << 32))
-                    fatal("out-of-range value for " + arg + ": " + p);
-                cli.os_frames.push_back(v);
-            }
-            if (cli.os_frames.empty())
-                fatal("empty list for " + arg);
-        } else if (arg == "--os-walkers") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                const auto walker = parsePageWalkerKind(p);
-                if (!walker)
-                    fatal("unknown walker (use radix|hashed): " + p);
-                cli.os_walkers.push_back(*walker);
-            }
-            if (cli.os_walkers.empty())
-                fatal("empty list for " + arg);
-        } else if (arg == "--tenants") {
-            for (const std::string &p : splitCommas(next(i, arg))) {
-                if (p == "off") {
-                    cli.tenant_slots.push_back(std::nullopt);
-                    continue;
-                }
-                const std::uint64_t v = parseU64(p, arg);
-                if (v == 0 || v > 1024)
-                    fatal("out-of-range value for " + arg + ": " + p);
-                cli.tenant_slots.push_back(
-                    static_cast<std::uint32_t>(v));
-            }
-            if (cli.tenant_slots.empty())
-                fatal("empty list for " + arg);
-        } else if (arg == "--accesses") {
-            cli.accesses = parseU64(next(i, arg), arg);
-        } else if (arg == "--seed") {
-            cli.seed = parseU64(next(i, arg), arg);
-        } else if (arg == "--threads") {
-            cli.threads =
-                static_cast<unsigned>(parseU64(next(i, arg), arg));
-        } else if (arg == "--timeout-ms") {
-            cli.timeout_ms =
-                static_cast<double>(parseU64(next(i, arg), arg));
-        } else if (arg == "--warm-start") {
-            cli.warm_start_cycles = parseU64(next(i, arg), arg);
-            if (cli.warm_start_cycles == 0)
-                fatal("--warm-start needs a positive cycle count");
-        } else if (arg == "--snapshot-dir") {
-            cli.snapshot_dir = next(i, arg);
-        } else if (arg == "--resume") {
-            cli.resume = true;
-        } else if (arg == "--out") {
-            cli.out_dir = next(i, arg);
-        } else if (arg == "--csv") {
-            cli.csv = true;
-        } else if (arg == "--telemetry") {
-            cli.telemetry = true;
-        } else if (arg == "--tune") {
-            cli.tune = true;
-        } else if (arg == "--quiet") {
-            cli.quiet = true;
-        } else {
-            usage();
-            fatal("unknown argument: " + arg);
-        }
-    }
+    parseFlags(argc, argv, "usage: asdsweep [options]", flags);
     if (cli.modes.empty())
         cli.modes = {PrefetchMode::NP, PrefetchMode::PS,
                      PrefetchMode::MS, PrefetchMode::PMS};

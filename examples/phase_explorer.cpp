@@ -10,9 +10,11 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <string>
 
+#include "common/flags.hpp"
 #include "common/table.hpp"
 #include "core/asd_prefetcher.hpp"
 #include "core/slh_math.hpp"
@@ -50,7 +52,9 @@ main(int argc, char **argv)
 
     const std::string name = argc > 1 ? argv[1] : "GemsFDTD";
     const std::size_t show =
-        argc > 2 ? static_cast<std::size_t>(std::atol(argv[2])) : 6;
+        argc > 2 ? parseFlagValue("epochs-to-show",
+                                  uintIn<std::size_t>(1, SIZE_MAX), argv[2])
+                 : 6;
 
     const Benchmark &bench = findBenchmark(name);
     RunOptions options;

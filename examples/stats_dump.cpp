@@ -12,8 +12,8 @@
 #include <iostream>
 #include <string>
 
+#include "common/flags.hpp"
 #include "common/json.hpp"
-#include "common/log.hpp"
 #include "sim/serialize.hpp"
 #include "sim/system.hpp"
 #include "trace/synthetic.hpp"
@@ -24,19 +24,15 @@ main(int argc, char **argv)
     using namespace asd;
 
     const std::string name = argc > 1 ? argv[1] : "GemsFDTD";
-    const std::string mode_text = argc > 2 ? argv[2] : "PMS";
-    const auto mode = parsePrefetchMode(mode_text);
-    if (!mode)
-        fatal("unknown mode (use NP|PS|MS|PMS): " + mode_text);
-    const std::string kind_text = argc > 3 ? argv[3] : "asd";
-    const auto kind = parseMcPrefetcherKind(kind_text);
-    if (!kind)
-        fatal("unknown prefetcher kind: " + kind_text);
+    const auto mode = parseFlagValue("mode", valueFor<PrefetchMode>(),
+                                     argc > 2 ? argv[2] : "PMS");
+    const auto kind = parseFlagValue("kind", valueFor<McPrefetcherKind>(),
+                                     argc > 3 ? argv[3] : "asd");
 
     const Benchmark &bench = findBenchmark(name);
     RunOptions options;
-    options.mode = *mode;
-    options.mc_prefetcher = *kind;
+    options.mode = mode;
+    options.mc_prefetcher = kind;
 
     SyntheticConfig trace_config = bench.trace;
     trace_config.total_accesses = scaledAccesses(bench, options);

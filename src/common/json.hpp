@@ -5,10 +5,9 @@
  * @file
  * Minimal JSON support used by the sweep runner and the diagnostic
  * examples: a streaming writer that tracks container nesting and
- * comma placement, a syntax checker the tests use to assert that
- * everything we emit is parseable, and a small DOM (JsonValue /
- * jsonParse) for reading back our own records on resume. No external
- * dependency.
+ * comma placement, and a small DOM (JsonValue / jsonParse) for
+ * reading back our own records on resume; `jsonParse(text).has_value()`
+ * is the syntax check. No external dependency.
  */
 
 #include <cstdint>
@@ -24,12 +23,6 @@ namespace asd
 
 /** @return @p text with JSON string escaping applied (no quotes). */
 std::string jsonEscape(std::string_view text);
-
-/**
- * @return true iff @p text is exactly one syntactically valid JSON
- * value (RFC 8259 grammar; no trailing garbage).
- */
-bool jsonParseCheck(std::string_view text);
 
 /**
  * Streaming JSON writer. Calls append to an internal buffer; commas
@@ -157,8 +150,9 @@ class JsonValue
 };
 
 /**
- * Parse @p text as exactly one JSON document (same grammar as
- * jsonParseCheck). @return the DOM, or nullopt on any syntax error.
+ * Parse @p text as exactly one JSON value (RFC 8259 grammar, no
+ * trailing garbage, nesting at most 128 deep). @return the DOM, or
+ * nullopt on any syntax error.
  */
 std::optional<JsonValue> jsonParse(std::string_view text);
 

@@ -1,7 +1,6 @@
 #include "runner/result_sink.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -99,22 +98,21 @@ JsonDirSink::adoptExisting(const JobSpec &spec)
         return false;
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    std::string text = buffer.str();
-    while (!text.empty() &&
-           (text.back() == '\n' || text.back() == '\r'))
-        text.pop_back();
-    if (!jsonParseCheck(text))
+    const std::optional<JsonValue> doc = jsonParse(buffer.str());
+    if (!doc)
         return false;
     // The record must be for this very job (a sanitized stem can
     // collide across ids) and must have finished cleanly; failed or
     // timed-out records are rerun.
-    if (text.find("\"schema\":\"asdsweep/result/v1\"") ==
-        std::string::npos)
-        return false;
-    if (text.find("\"id\":\"" + jsonEscape(spec.id) + "\"") ==
-        std::string::npos)
-        return false;
-    if (text.find("\"status\":\"ok\"") == std::string::npos)
+    const auto stringAt = [&doc](std::string_view key) {
+        const JsonValue *member = doc->find(key);
+        const std::string *value = member ? member->asString() : nullptr;
+        return value ? *value : std::string();
+    };
+    const JsonValue *wall_ms = doc->find("wall_ms");
+    if (stringAt("schema") != "asdsweep/result/v1" ||
+        stringAt("id") != spec.id || stringAt("status") != "ok" ||
+        !wall_ms || !wall_ms->asDouble())
         return false;
 
     Entry entry;
@@ -122,14 +120,8 @@ JsonDirSink::adoptExisting(const JobSpec &spec)
     entry.file = file;
     entry.benchmark = spec.bench.name;
     entry.status = "ok";
-    // Carry the original wall time into the new manifest. The key is
-    // emitted by recordJson, so it is present in any record that
-    // passed the checks above.
-    const std::string key = "\"wall_ms\":";
-    const std::size_t pos = text.find(key);
-    if (pos != std::string::npos)
-        entry.wall_ms = std::strtod(text.c_str() + pos + key.size(),
-                                    nullptr);
+    // Carry the original wall time into the new manifest.
+    entry.wall_ms = *wall_ms->asDouble();
     entries_.push_back(std::move(entry));
     ++skipped_;
     return true;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/flags.hpp"
 #include "common/log.hpp"
 
 namespace asd
@@ -11,10 +12,8 @@ unsigned
 defaultThreadCount()
 {
     if (const char *env = std::getenv("ASD_SWEEP_THREADS")) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<unsigned>(v);
+        if (const auto v = parseUnsigned<unsigned>(env, 1))
+            return *v;
         warn("ignoring invalid ASD_SWEEP_THREADS \"" +
              std::string(env) + "\"");
     }

@@ -1,9 +1,9 @@
 #include "sim/experiment.hpp"
 
-#include <cmath>
 #include <cstdlib>
 #include <string>
 
+#include "common/flags.hpp"
 #include "common/log.hpp"
 #include "sim/system.hpp"
 #include "trace/synthetic.hpp"
@@ -16,19 +16,13 @@ parseBenchScale(const char *text)
 {
     if (!text || *text == '\0')
         return 1.0;
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0') {
-        warn("ignoring non-numeric ASD_BENCH_SCALE \"" +
-             std::string(text) + "\"");
+    const std::optional<double> v = parseFinite(text);
+    if (!v || *v <= 0.0) {
+        warn("ignoring ASD_BENCH_SCALE \"" + std::string(text) +
+             "\" (expects a finite number above 0)");
         return 1.0;
     }
-    if (!std::isfinite(v) || v <= 0.0) {
-        warn("ignoring non-positive ASD_BENCH_SCALE \"" +
-             std::string(text) + "\"");
-        return 1.0;
-    }
-    return v;
+    return *v;
 }
 
 double

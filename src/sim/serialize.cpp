@@ -1,160 +1,149 @@
 #include "sim/serialize.hpp"
 
-#include "common/log.hpp"
-
 namespace asd
 {
+
+NameTable<PrefetchMode>
+nameTable(PrefetchMode)
+{
+    static constexpr EnumName<PrefetchMode> kNames[] = {
+        {PrefetchMode::NP, "NP"},
+        {PrefetchMode::PS, "PS"},
+        {PrefetchMode::MS, "MS"},
+        {PrefetchMode::PMS, "PMS"},
+    };
+    return kNames;
+}
+
+NameTable<McPrefetcherKind>
+nameTable(McPrefetcherKind)
+{
+    static constexpr EnumName<McPrefetcherKind> kNames[] = {
+        {McPrefetcherKind::Asd, "asd"},
+        {McPrefetcherKind::NextLine, "nextline"},
+        {McPrefetcherKind::P5Style, "p5"},
+        {McPrefetcherKind::Ghb, "ghb"},
+        {McPrefetcherKind::Stride, "stride"},
+        {McPrefetcherKind::Dspatch, "dspatch"},
+        {McPrefetcherKind::Perceptron, "perceptron"},
+    };
+    return kNames;
+}
+
+NameTable<PsKind>
+nameTable(PsKind)
+{
+    static constexpr EnumName<PsKind> kNames[] = {
+        {PsKind::Power5, "power5"},
+        {PsKind::Asd, "asd"},
+    };
+    return kNames;
+}
+
+NameTable<SchedulerKind>
+nameTable(SchedulerKind)
+{
+    static constexpr EnumName<SchedulerKind> kNames[] = {
+        {SchedulerKind::Ahb, "ahb"},
+        {SchedulerKind::Memoryless, "memoryless"},
+        {SchedulerKind::InOrder, "inorder"},
+        {SchedulerKind::FrFcfs, "frfcfs"},
+    };
+    return kNames;
+}
+
+NameTable<FrameAllocPolicy>
+nameTable(FrameAllocPolicy)
+{
+    static constexpr EnumName<FrameAllocPolicy> kNames[] = {
+        {FrameAllocPolicy::Identity, "identity"},
+        {FrameAllocPolicy::Sequential, "seq"},
+        {FrameAllocPolicy::RandomShuffle, "random"},
+        {FrameAllocPolicy::HugePage, "huge"},
+    };
+    return kNames;
+}
+
+NameTable<PageWalkerKind>
+nameTable(PageWalkerKind)
+{
+    static constexpr EnumName<PageWalkerKind> kNames[] = {
+        {PageWalkerKind::Radix, "radix"},
+        {PageWalkerKind::Hashed, "hashed"},
+    };
+    return kNames;
+}
 
 std::string
 toString(PrefetchMode mode)
 {
-    switch (mode) {
-    case PrefetchMode::NP:
-        return "NP";
-    case PrefetchMode::PS:
-        return "PS";
-    case PrefetchMode::MS:
-        return "MS";
-    case PrefetchMode::PMS:
-        return "PMS";
-    }
-    panic("unhandled PrefetchMode");
+    return enumName(nameTable(mode), mode);
 }
 
 std::string
 toString(McPrefetcherKind kind)
 {
-    switch (kind) {
-    case McPrefetcherKind::Asd:
-        return "asd";
-    case McPrefetcherKind::NextLine:
-        return "nextline";
-    case McPrefetcherKind::P5Style:
-        return "p5";
-    case McPrefetcherKind::Ghb:
-        return "ghb";
-    case McPrefetcherKind::Stride:
-        return "stride";
-    case McPrefetcherKind::Dspatch:
-        return "dspatch";
-    case McPrefetcherKind::Perceptron:
-        return "perceptron";
-    }
-    panic("unhandled McPrefetcherKind");
+    return enumName(nameTable(kind), kind);
 }
 
 std::string
 toString(PsKind kind)
 {
-    switch (kind) {
-    case PsKind::Power5:
-        return "power5";
-    case PsKind::Asd:
-        return "asd";
-    }
-    panic("unhandled PsKind");
+    return enumName(nameTable(kind), kind);
 }
 
 std::string
 toString(SchedulerKind kind)
 {
-    switch (kind) {
-    case SchedulerKind::InOrder:
-        return "inorder";
-    case SchedulerKind::Memoryless:
-        return "memoryless";
-    case SchedulerKind::Ahb:
-        return "ahb";
-    case SchedulerKind::FrFcfs:
-        return "frfcfs";
-    }
-    panic("unhandled SchedulerKind");
+    return enumName(nameTable(kind), kind);
 }
 
 std::string
 toString(FrameAllocPolicy policy)
 {
-    switch (policy) {
-    case FrameAllocPolicy::Identity:
-        return "identity";
-    case FrameAllocPolicy::Sequential:
-        return "seq";
-    case FrameAllocPolicy::RandomShuffle:
-        return "random";
-    case FrameAllocPolicy::HugePage:
-        return "huge";
-    }
-    panic("unhandled FrameAllocPolicy");
-}
-
-std::optional<FrameAllocPolicy>
-parseFrameAllocPolicy(const std::string &text)
-{
-    if (text == "identity")
-        return FrameAllocPolicy::Identity;
-    if (text == "seq")
-        return FrameAllocPolicy::Sequential;
-    if (text == "random")
-        return FrameAllocPolicy::RandomShuffle;
-    if (text == "huge")
-        return FrameAllocPolicy::HugePage;
-    return std::nullopt;
+    return enumName(nameTable(policy), policy);
 }
 
 std::string
 toString(PageWalkerKind kind)
 {
-    switch (kind) {
-    case PageWalkerKind::Radix:
-        return "radix";
-    case PageWalkerKind::Hashed:
-        return "hashed";
-    }
-    panic("unhandled PageWalkerKind");
-}
-
-std::optional<PageWalkerKind>
-parsePageWalkerKind(const std::string &text)
-{
-    if (text == "radix")
-        return PageWalkerKind::Radix;
-    if (text == "hashed")
-        return PageWalkerKind::Hashed;
-    return std::nullopt;
+    return enumName(nameTable(kind), kind);
 }
 
 std::optional<PrefetchMode>
 parsePrefetchMode(const std::string &text)
 {
-    if (text == "NP")
-        return PrefetchMode::NP;
-    if (text == "PS")
-        return PrefetchMode::PS;
-    if (text == "MS")
-        return PrefetchMode::MS;
-    if (text == "PMS")
-        return PrefetchMode::PMS;
-    return std::nullopt;
+    return enumFromName(nameTable(PrefetchMode{}), text);
 }
 
 std::optional<McPrefetcherKind>
 parseMcPrefetcherKind(const std::string &text)
 {
-    if (text == "asd")
-        return McPrefetcherKind::Asd;
-    if (text == "nextline")
-        return McPrefetcherKind::NextLine;
-    if (text == "p5")
-        return McPrefetcherKind::P5Style;
-    if (text == "ghb")
-        return McPrefetcherKind::Ghb;
-    if (text == "stride")
-        return McPrefetcherKind::Stride;
-    if (text == "dspatch")
-        return McPrefetcherKind::Dspatch;
-    if (text == "perceptron")
-        return McPrefetcherKind::Perceptron;
-    return std::nullopt;
+    return enumFromName(nameTable(McPrefetcherKind{}), text);
+}
+
+std::optional<PsKind>
+parsePsKind(const std::string &text)
+{
+    return enumFromName(nameTable(PsKind{}), text);
+}
+
+std::optional<SchedulerKind>
+parseSchedulerKind(const std::string &text)
+{
+    return enumFromName(nameTable(SchedulerKind{}), text);
+}
+
+std::optional<FrameAllocPolicy>
+parseFrameAllocPolicy(const std::string &text)
+{
+    return enumFromName(nameTable(FrameAllocPolicy{}), text);
+}
+
+std::optional<PageWalkerKind>
+parsePageWalkerKind(const std::string &text)
+{
+    return enumFromName(nameTable(PageWalkerKind{}), text);
 }
 
 void

@@ -13,10 +13,24 @@
 #include <string>
 
 #include "common/json.hpp"
+#include "common/names.hpp"
 #include "sim/experiment.hpp"
 
 namespace asd
 {
+
+/**
+ * The one name table of each enum with a text spelling. Every
+ * conversion below, and each CLI's parsing and --help choices, is
+ * derived from these. Found by argument-dependent lookup, so
+ * valueFor<E>() in common/flags.hpp can reach them.
+ */
+NameTable<PrefetchMode> nameTable(PrefetchMode);
+NameTable<McPrefetcherKind> nameTable(McPrefetcherKind);
+NameTable<PsKind> nameTable(PsKind);
+NameTable<SchedulerKind> nameTable(SchedulerKind);
+NameTable<FrameAllocPolicy> nameTable(FrameAllocPolicy);
+NameTable<PageWalkerKind> nameTable(PageWalkerKind);
 
 std::string toString(PrefetchMode mode);
 std::string toString(McPrefetcherKind kind);
@@ -29,6 +43,8 @@ std::string toString(PageWalkerKind kind);
 std::optional<PrefetchMode> parsePrefetchMode(const std::string &text);
 std::optional<McPrefetcherKind>
 parseMcPrefetcherKind(const std::string &text);
+std::optional<PsKind> parsePsKind(const std::string &text);
+std::optional<SchedulerKind> parseSchedulerKind(const std::string &text);
 std::optional<FrameAllocPolicy>
 parseFrameAllocPolicy(const std::string &text);
 std::optional<PageWalkerKind>

@@ -2,23 +2,28 @@
  * @file
  * Unit and property tests for the common substrate: RNG, alias-method
  * sampler, histogram, stat registry, table printer, JSON edge cases,
- * and the checked narrow() conversion.
+ * the checked narrow() conversion, the checked number and flag
+ * parsers, and the enum name tables.
  */
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/flags.hpp"
 #include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/random.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
+#include "sim/serialize.hpp"
 
 namespace asd
 {
@@ -281,7 +286,7 @@ TEST(Json, EscapesBackslashQuoteAndControlChars)
     JsonWriter w;
     w.beginObject().key("path").value("C:\\tmp\\x.json").endObject();
     EXPECT_EQ(w.str(), "{\"path\":\"C:\\\\tmp\\\\x.json\"}");
-    EXPECT_TRUE(jsonParseCheck(w.str()));
+    EXPECT_TRUE(jsonParse(w.str()).has_value());
 }
 
 TEST(Json, Uint64MaxRoundTrips)
@@ -295,7 +300,7 @@ TEST(Json, Uint64MaxRoundTrips)
         .endObject();
     EXPECT_EQ(w.str(), "{\"max\":18446744073709551615,"
                        "\"min\":-9223372036854775808}");
-    EXPECT_TRUE(jsonParseCheck(w.str()));
+    EXPECT_TRUE(jsonParse(w.str()).has_value());
 }
 
 TEST(Json, DeeplyNestedArraysWithinCheckerCap)
@@ -306,7 +311,7 @@ TEST(Json, DeeplyNestedArraysWithinCheckerCap)
     doc += '1';
     for (int i = 0; i < 100; ++i)
         doc += ']';
-    EXPECT_TRUE(jsonParseCheck(doc));
+    EXPECT_TRUE(jsonParse(doc).has_value());
 }
 
 TEST(Json, AbsurdNestingIsRejectedNotOverflowed)
@@ -317,9 +322,9 @@ TEST(Json, AbsurdNestingIsRejectedNotOverflowed)
     doc += '1';
     for (int i = 0; i < 100000; ++i)
         doc += ']';
-    // The checker bounds recursion depth instead of crashing; a
+    // The parser bounds recursion depth instead of crashing; a
     // 100k-deep document is rejected as unparseable.
-    EXPECT_FALSE(jsonParseCheck(doc));
+    EXPECT_FALSE(jsonParse(doc).has_value());
 }
 
 TEST(Json, WriterHandlesDeepNestingAndEmptyContainers)
@@ -330,7 +335,7 @@ TEST(Json, WriterHandlesDeepNestingAndEmptyContainers)
     w.beginObject().endObject();
     for (int i = 0; i < 64; ++i)
         w.endArray();
-    EXPECT_TRUE(jsonParseCheck(w.str()));
+    EXPECT_TRUE(jsonParse(w.str()).has_value());
     EXPECT_EQ(w.str().substr(0, 10), "[[[[[[[[[[");
 }
 
@@ -360,6 +365,301 @@ TEST(NarrowDeathTest, PanicsOnSignMismatch)
     EXPECT_DEATH(
         narrow<std::int32_t>(std::uint64_t{0xffffffff80000000ULL}),
         "narrow");
+}
+
+// --- checked number parsing ----------------------------------------
+
+TEST(ParseUnsigned, AcceptsDigitsThatFit)
+{
+    EXPECT_EQ(parseUnsigned<std::uint32_t>("0"), 0u);
+    EXPECT_EQ(parseUnsigned<std::uint32_t>("42"), 42u);
+    EXPECT_EQ(parseUnsigned<std::uint32_t>("4294967295"), 0xffffffffu);
+    EXPECT_EQ(parseUnsigned<std::uint64_t>("18446744073709551615"),
+              ~std::uint64_t{0});
+    EXPECT_EQ(parseUnsigned<int>("2147483647"), 2147483647);
+    EXPECT_EQ(parseUnsigned<std::uint32_t>("5", 1, 5), 5u);
+}
+
+TEST(ParseUnsigned, RejectsEveryMalformedForm)
+{
+    for (const char *bad : {"", "-1", "+1", " 1", "1 ", "16x", "abc",
+                            "0x10", "1.5", "4294967296"})
+        EXPECT_FALSE(parseUnsigned<std::uint32_t>(bad)) << bad;
+    EXPECT_FALSE(parseUnsigned<std::uint64_t>("18446744073709551616"));
+    EXPECT_FALSE(parseUnsigned<int>("2147483648"));
+    EXPECT_FALSE(parseUnsigned<std::uint32_t>("0", 1, 5));
+    EXPECT_FALSE(parseUnsigned<std::uint32_t>("6", 1, 5));
+}
+
+TEST(ParseFinite, AcceptsFiniteNumbersOnly)
+{
+    EXPECT_EQ(parseFinite("0.5"), 0.5);
+    EXPECT_EQ(parseFinite("2"), 2.0);
+    EXPECT_EQ(parseFinite("-3"), -3.0);
+    EXPECT_EQ(parseFinite("1e3"), 1000.0);
+    for (const char *bad : {"", "banana", "1.5x", " 1", "1 ", "+1", "inf",
+                            "-inf", "nan", "1e999"})
+        EXPECT_FALSE(parseFinite(bad)) << bad;
+}
+
+// --- flag parser -------------------------------------------------------
+
+/** One target of every binder kind, with the flag table over it. */
+struct FlagTargets
+{
+    std::uint32_t buffer = 16;
+    std::optional<std::uint64_t> accesses;
+    int policy = 0;
+    double frac = 0.02;
+    PrefetchMode mode = PrefetchMode::PMS;
+    std::vector<std::uint32_t> degrees;
+    std::vector<McPrefetcherKind> kinds;
+    std::vector<std::optional<std::uint64_t>> frames;
+    std::vector<std::string> benches;
+    std::string out;
+    bool csv = false;
+    std::uint64_t phys_bytes = 0;
+
+    std::vector<Flag>
+    flags()
+    {
+        return {
+            flag("--buffer", "prefetch buffer lines", buffer),
+            flag("--accesses", "trace length", accesses),
+            flag("--policy", "LPQ policy", policy),
+            flag("--frac", "major-fault fraction", frac),
+            flag("--mode", "prefetch configuration", mode),
+            flag("--degrees", "degree axis",
+                 listOf(uintIn<std::uint32_t>(1, 4)), degrees),
+            flag("--kinds", "memory-side kinds",
+                 valueFor<std::vector<McPrefetcherKind>>(),
+                 appendTo(kinds)),
+            flag("--frames", "frame-pool sizes",
+                 listOf(offOr(uintIn<std::uint64_t>(1, 1ULL << 32))),
+                 frames),
+            flag("--bench", "benchmark (repeatable)", textValue(),
+                 appendTo(benches), "NAME"),
+            flag("--out", "output directory", out, "DIR"),
+            flag("--csv", "emit CSV", csv),
+            flag("--phys-mb", "physical memory",
+                 uintIn<std::uint64_t>(0, ~std::uint64_t{0} >> 20),
+                 [this](std::uint64_t mb) { phys_bytes = mb << 20; }),
+        };
+    }
+};
+
+/** Run parseFlags over @p args as if they followed a program name. */
+void
+runFlags(const std::vector<Flag> &flags, const std::vector<std::string> &args)
+{
+    std::vector<const char *> argv = {"prog"};
+    for (const std::string &arg : args)
+        argv.push_back(arg.c_str());
+    parseFlags(static_cast<int>(argv.size()), argv.data(), "usage: prog",
+               flags);
+}
+
+TEST(Flags, EveryBinderAcceptsGoodInput)
+{
+    FlagTargets t;
+    runFlags(t.flags(),
+             {"--buffer", "32", "--accesses", "12345", "--policy", "3",
+              "--frac", "0.25", "--mode", "MS", "--degrees", "1,2,4",
+              "--kinds", "asd,perceptron", "--kinds", "ghb", "--frames",
+              "off,256", "--bench", "tpcc", "--bench", "lbm", "--out",
+              "dir", "--csv", "--phys-mb", "2048"});
+    EXPECT_EQ(t.buffer, 32u);
+    EXPECT_EQ(t.accesses, 12345u);
+    EXPECT_EQ(t.policy, 3);
+    EXPECT_EQ(t.frac, 0.25);
+    EXPECT_EQ(t.mode, PrefetchMode::MS);
+    EXPECT_EQ(t.degrees, (std::vector<std::uint32_t>{1, 2, 4}));
+    EXPECT_EQ(t.kinds,
+              (std::vector<McPrefetcherKind>{McPrefetcherKind::Asd,
+                                             McPrefetcherKind::Perceptron,
+                                             McPrefetcherKind::Ghb}));
+    EXPECT_EQ(t.frames,
+              (std::vector<std::optional<std::uint64_t>>{std::nullopt,
+                                                         256}));
+    EXPECT_EQ(t.benches, (std::vector<std::string>{"tpcc", "lbm"}));
+    EXPECT_EQ(t.out, "dir");
+    EXPECT_TRUE(t.csv);
+    EXPECT_EQ(t.phys_bytes, std::uint64_t{2048} << 20);
+}
+
+TEST(Flags, LaterOccurrenceOfAnAssignedFlagWins)
+{
+    FlagTargets t;
+    runFlags(t.flags(), {"--degrees", "1", "--degrees", "2,3"});
+    EXPECT_EQ(t.degrees, (std::vector<std::uint32_t>{2, 3}));
+}
+
+TEST(FlagsDeathTest, EveryBinderRejectsMalformedValuesNamingTheFlag)
+{
+    struct Case
+    {
+        const char *flag;
+        const char *text;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"--buffer", "", "--buffer expects an integer in \\[0, 4294967295\\], "
+                         "got ''"},
+        {"--buffer", "16x", "--buffer expects an integer .*, got '16x'"},
+        {"--buffer", "-1", "--buffer expects an integer .*, got '-1'"},
+        {"--buffer", "+1", "--buffer expects an integer .*, got '\\+1'"},
+        {"--buffer", "4294967296",
+         "--buffer expects an integer .*, got '4294967296'"},
+        {"--accesses", "abc", "--accesses expects an integer .*, got 'abc'"},
+        {"--accesses", "18446744073709551616",
+         "--accesses expects .*, got '18446744073709551616'"},
+        {"--policy", "-3", "--policy expects an integer in \\[0, "
+                           "2147483647\\], got '-3'"},
+        {"--frac", "banana", "--frac expects a finite number, got 'banana'"},
+        {"--frac", "inf", "--frac expects a finite number, got 'inf'"},
+        {"--frac", "nan", "--frac expects a finite number, got 'nan'"},
+        {"--frac", "0.5x", "--frac expects a finite number, got '0.5x'"},
+        {"--mode", "pms",
+         "--mode expects one of NP\\|PS\\|MS\\|PMS, got 'pms'"},
+        {"--degrees", "1,,2", "--degrees expects a comma list, each an "
+                              "integer in \\[1, 4\\], got '1,,2'"},
+        {"--degrees", "1,5", "--degrees expects .*, got '1,5'"},
+        {"--degrees", "2,", "--degrees expects .*, got '2,'"},
+        {"--kinds", "asd,xx", "--kinds expects a comma list, each one of "
+                              "asd\\|nextline.*, got 'asd,xx'"},
+        {"--frames", "off,0", "--frames expects a comma list, each 'off' "
+                              "or an integer .*, got 'off,0'"},
+        {"--frames", "none", "--frames expects .*, got 'none'"},
+        {"--bench", "", "--bench expects a non-empty value, got ''"},
+        {"--out", "", "--out expects a non-empty value, got ''"},
+        {"--phys-mb", "99999999999999999999",
+         "--phys-mb expects an integer in \\[0, 17592186044415\\], "
+         "got '99999999999999999999'"},
+        {"--phys-mb", "17592186044416",
+         "--phys-mb expects .*, got '17592186044416'"},
+    };
+    for (const Case &c : cases) {
+        FlagTargets t;
+        EXPECT_EXIT(runFlags(t.flags(), {c.flag, c.text}),
+                    ::testing::ExitedWithCode(1), c.message)
+            << c.flag << " " << c.text;
+    }
+}
+
+TEST(FlagsDeathTest, UnknownFlagAndMissingValueAreRejected)
+{
+    FlagTargets t;
+    EXPECT_EXIT(runFlags(t.flags(), {"--frob"}),
+                ::testing::ExitedWithCode(1), "unknown flag --frob");
+    EXPECT_EXIT(runFlags(t.flags(), {"csv"}),
+                ::testing::ExitedWithCode(1), "unknown flag csv");
+    EXPECT_EXIT(runFlags(t.flags(), {"--csv", "--buffer"}),
+                ::testing::ExitedWithCode(1),
+                "missing value after --buffer");
+}
+
+TEST(FlagsDeathTest, HelpPrintsTheTableAndExitsZero)
+{
+    FlagTargets t;
+    EXPECT_EXIT(runFlags(t.flags(), {"--buffer", "8", "--help"}),
+                ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Flags, UsageListsEveryFlagWithEnumChoices)
+{
+    FlagTargets t;
+    const std::string usage = flagUsage("usage: prog", t.flags());
+    EXPECT_EQ(usage.rfind("usage: prog\n", 0), 0u);
+    EXPECT_NE(usage.find("\n  --buffer N             prefetch buffer "
+                         "lines\n"),
+              std::string::npos);
+    EXPECT_NE(usage.find("\n  --mode NP|PS|MS|PMS    prefetch "
+                         "configuration\n"),
+              std::string::npos);
+    // A long name and metavar push the help onto the next line.
+    EXPECT_NE(usage.find("\n  --kinds asd,nextline,p5,ghb,stride,dspatch,"
+                         "perceptron\n                         memory-side "
+                         "kinds\n"),
+              std::string::npos);
+    EXPECT_NE(usage.find("\n  --frames off,N "), std::string::npos);
+    EXPECT_NE(usage.find("\n  --csv  "), std::string::npos);
+    EXPECT_NE(usage.find("\n  --out DIR "), std::string::npos);
+}
+
+TEST(Flags, UsageWrapsLongHelpAtWordBoundaries)
+{
+    const std::vector<Flag> flags = {
+        {"--x", "", std::string(30, 'a') + " " + std::string(30, 'b'),
+         [](const std::string &) {}},
+    };
+    EXPECT_EQ(flagUsage("u", flags),
+              "u\n  --x                    " + std::string(30, 'a') +
+                  "\n                         " + std::string(30, 'b') +
+                  "\n");
+}
+
+// --- enum name tables --------------------------------------------------
+
+/**
+ * Every value of @p E with its spelling, as the tables must give it
+ * (these strings reach job ids and JSON records). Each value must
+ * round-trip and the table must hold nothing else.
+ */
+template <typename E>
+void
+expectNames(std::vector<EnumName<E>> expected,
+            std::optional<E> (*parse)(const std::string &))
+{
+    EXPECT_EQ(nameTable(E{}).size(), expected.size());
+    for (const EnumName<E> &entry : expected) {
+        const std::string name(entry.name);
+        EXPECT_EQ(toString(entry.value), name);
+        EXPECT_EQ(parse(name), entry.value) << name;
+        EXPECT_EQ(parse(toString(entry.value)), entry.value) << name;
+    }
+    EXPECT_FALSE(parse(""));
+    EXPECT_FALSE(parse("bogus"));
+}
+
+TEST(EnumNames, EveryValueRoundTripsWithTodaysSpelling)
+{
+    expectNames<PrefetchMode>({{PrefetchMode::NP, "NP"},
+                               {PrefetchMode::PS, "PS"},
+                               {PrefetchMode::MS, "MS"},
+                               {PrefetchMode::PMS, "PMS"}},
+                              parsePrefetchMode);
+    expectNames<McPrefetcherKind>(
+        {{McPrefetcherKind::Asd, "asd"},
+         {McPrefetcherKind::NextLine, "nextline"},
+         {McPrefetcherKind::P5Style, "p5"},
+         {McPrefetcherKind::Ghb, "ghb"},
+         {McPrefetcherKind::Stride, "stride"},
+         {McPrefetcherKind::Dspatch, "dspatch"},
+         {McPrefetcherKind::Perceptron, "perceptron"}},
+        parseMcPrefetcherKind);
+    expectNames<PsKind>({{PsKind::Power5, "power5"}, {PsKind::Asd, "asd"}},
+                        parsePsKind);
+    expectNames<SchedulerKind>({{SchedulerKind::InOrder, "inorder"},
+                                {SchedulerKind::Memoryless, "memoryless"},
+                                {SchedulerKind::Ahb, "ahb"},
+                                {SchedulerKind::FrFcfs, "frfcfs"}},
+                               parseSchedulerKind);
+    expectNames<FrameAllocPolicy>(
+        {{FrameAllocPolicy::Identity, "identity"},
+         {FrameAllocPolicy::Sequential, "seq"},
+         {FrameAllocPolicy::RandomShuffle, "random"},
+         {FrameAllocPolicy::HugePage, "huge"}},
+        parseFrameAllocPolicy);
+    expectNames<PageWalkerKind>({{PageWalkerKind::Radix, "radix"},
+                                 {PageWalkerKind::Hashed, "hashed"}},
+                                parsePageWalkerKind);
+}
+
+TEST(EnumNames, SpellingsAreCaseSensitive)
+{
+    EXPECT_FALSE(parsePrefetchMode("pms"));
+    EXPECT_FALSE(parseMcPrefetcherKind("ASD"));
+    EXPECT_FALSE(parseSchedulerKind("AHB"));
 }
 
 } // namespace

@@ -529,7 +529,7 @@ TEST(LintReport, JsonIsWellFormedAndComplete)
         "}\n");
     ASSERT_FALSE(diags.empty());
     const std::string json = reportJson(diags, 1);
-    EXPECT_TRUE(jsonParseCheck(json)) << json;
+    EXPECT_TRUE(jsonParse(json).has_value()) << json;
     EXPECT_NE(json.find("\"schema\":\"asdlint/v2\""),
               std::string::npos);
     EXPECT_NE(json.find("float-in-cost-path"), std::string::npos);
@@ -540,7 +540,7 @@ TEST(LintReport, JsonIsWellFormedAndComplete)
 TEST(LintReport, EmptyRunStillParses)
 {
     const std::string json = reportJson({}, 0);
-    EXPECT_TRUE(jsonParseCheck(json));
+    EXPECT_TRUE(jsonParse(json).has_value());
     EXPECT_NE(json.find("\"errors\":0"), std::string::npos);
 }
 

@@ -7,8 +7,10 @@
  * helpers, and the hardened ASD_BENCH_SCALE parser.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -127,7 +129,7 @@ TEST(SweepRunner, ParallelMatchesSerialAndWritesJson)
     // Every record plus the manifest must be valid JSON.
     const std::string manifest = readFile(dir / "manifest.json");
     ASSERT_FALSE(manifest.empty());
-    EXPECT_TRUE(jsonParseCheck(manifest));
+    EXPECT_TRUE(jsonParse(manifest).has_value());
     EXPECT_NE(manifest.find("\"jobs\":16"), std::string::npos);
     EXPECT_NE(manifest.find("\"ok\":16"), std::string::npos);
     std::size_t records = 0;
@@ -136,7 +138,8 @@ TEST(SweepRunner, ParallelMatchesSerialAndWritesJson)
         if (entry.path().filename() == "manifest.json")
             continue;
         const std::string record = readFile(entry.path());
-        EXPECT_TRUE(jsonParseCheck(record)) << entry.path();
+        EXPECT_TRUE(jsonParse(record).has_value())
+            << entry.path();
         EXPECT_NE(record.find("\"cycles\""), std::string::npos);
         EXPECT_NE(record.find("\"options\""), std::string::npos);
         ++records;
@@ -169,7 +172,7 @@ TEST(SweepRunner, FailingJobYieldsFailureRecordOthersComplete)
     // Failure records serialize with null metrics, still parseable.
     const std::string record =
         JsonDirSink::recordJson(results[1]);
-    EXPECT_TRUE(jsonParseCheck(record));
+    EXPECT_TRUE(jsonParse(record).has_value());
     EXPECT_NE(record.find("\"status\":\"failed\""),
               std::string::npos);
     EXPECT_NE(record.find("\"metrics\":null"), std::string::npos);
@@ -266,7 +269,7 @@ TEST(Serialize, JsonHelpersEmitParseableDocuments)
     options.fixed_policy = 3;
     options.accesses = 12345;
     const std::string options_json = toJson(options);
-    EXPECT_TRUE(jsonParseCheck(options_json));
+    EXPECT_TRUE(jsonParse(options_json).has_value());
     EXPECT_NE(options_json.find("\"mode\":\"PMS\""),
               std::string::npos);
     EXPECT_NE(options_json.find("\"fixed_policy\":3"),
@@ -276,7 +279,7 @@ TEST(Serialize, JsonHelpersEmitParseableDocuments)
     metrics.cycles = 42;
     metrics.dram_watts = 1.25;
     const std::string metrics_json = toJson(metrics);
-    EXPECT_TRUE(jsonParseCheck(metrics_json));
+    EXPECT_TRUE(jsonParse(metrics_json).has_value());
     EXPECT_NE(metrics_json.find("\"cycles\":42"), std::string::npos);
     EXPECT_NE(metrics_json.find("\"dram_watts\":1.25"),
               std::string::npos);
@@ -313,16 +316,17 @@ TEST(Json, WriterAndChecker)
         .endObject();
     EXPECT_EQ(writer.str(),
               "{\"a\":1,\"b\":[\"x\\\"y\",true,null,-2.5]}");
-    EXPECT_TRUE(jsonParseCheck(writer.str()));
+    EXPECT_TRUE(jsonParse(writer.str()).has_value());
 
-    EXPECT_TRUE(jsonParseCheck("[]"));
-    EXPECT_TRUE(jsonParseCheck("  {\"k\": [1, 2.0e-3, \"s\"]} "));
-    EXPECT_FALSE(jsonParseCheck(""));
-    EXPECT_FALSE(jsonParseCheck("{"));
-    EXPECT_FALSE(jsonParseCheck("{\"a\":}"));
-    EXPECT_FALSE(jsonParseCheck("{} trailing"));
-    EXPECT_FALSE(jsonParseCheck("[1,]"));
-    EXPECT_FALSE(jsonParseCheck("nan"));
+    EXPECT_TRUE(jsonParse("[]").has_value());
+    EXPECT_TRUE(
+        jsonParse("  {\"k\": [1, 2.0e-3, \"s\"]} ").has_value());
+    EXPECT_FALSE(jsonParse("").has_value());
+    EXPECT_FALSE(jsonParse("{").has_value());
+    EXPECT_FALSE(jsonParse("{\"a\":}").has_value());
+    EXPECT_FALSE(jsonParse("{} trailing").has_value());
+    EXPECT_FALSE(jsonParse("[1,]").has_value());
+    EXPECT_FALSE(jsonParse("nan").has_value());
 }
 
 // --- warm-start reuse ----------------------------------------------
@@ -548,9 +552,59 @@ TEST(Resume, AdoptsOnlyValidOkRecords)
     summary.jobs = 0;
     sink.finish(summary);
     const std::string manifest = readFile(dir / "manifest.json");
-    EXPECT_TRUE(jsonParseCheck(manifest));
+    EXPECT_TRUE(jsonParse(manifest).has_value());
     EXPECT_NE(manifest.find("\"skipped\":1"), std::string::npos);
     EXPECT_NE(manifest.find(jobs[0].id), std::string::npos);
+}
+
+TEST(Resume, ReadsTopLevelFieldsOfTheParsedRecord)
+{
+    const std::filesystem::path dir = "results/test_resume_fields";
+    std::filesystem::remove_all(dir);
+    JobResult result;
+    result.spec = fourWaySweepJobs()[0];
+    result.wall_ms = 12.5;
+    const std::filesystem::path path =
+        dir / (sanitizeFileStem(result.spec.id) + ".json");
+    const auto writeRecord = [&path](const std::string &text) {
+        std::ofstream out(path);
+        out << text << "\n";
+    };
+
+    JsonDirSink sink(dir.string());
+    // A timed-out record is rerun even when a nested member spells out
+    // an ok status: only the top-level member counts.
+    JobResult timed_out = result;
+    timed_out.status = JobStatus::TimedOut;
+    writeRecord("{\"extra\":{\"status\":\"ok\"}," +
+                JsonDirSink::recordJson(timed_out).substr(1));
+    EXPECT_FALSE(sink.adoptExisting(result.spec));
+
+    writeRecord(JsonDirSink::recordJson(result));
+    EXPECT_TRUE(sink.adoptExisting(result.spec));
+    SweepSummary summary;
+    sink.finish(summary);
+    const std::optional<JsonValue> manifest =
+        jsonParse(readFile(dir / "manifest.json"));
+    ASSERT_TRUE(manifest);
+    const JsonValue *records = manifest->find("records");
+    ASSERT_TRUE(records);
+    ASSERT_EQ(records->items().size(), 1u);
+    EXPECT_EQ(records->items()[0].find("wall_ms")->asDouble(), 12.5);
+}
+
+TEST(ThreadPool, DefaultThreadCountFallsBackOnMalformedEnv)
+{
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    setenv("ASD_SWEEP_THREADS", "3", 1);
+    EXPECT_EQ(defaultThreadCount(), 3u);
+    for (const char *bad : {"", "0", "-2", "+3", " 3", "3x", "abc",
+                            "99999999999"}) {
+        setenv("ASD_SWEEP_THREADS", bad, 1);
+        EXPECT_EQ(defaultThreadCount(), hw) << bad;
+    }
+    unsetenv("ASD_SWEEP_THREADS");
+    EXPECT_EQ(defaultThreadCount(), hw);
 }
 
 TEST(BenchScale, RejectsGarbageAndKeepsValidValues)

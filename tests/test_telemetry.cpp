@@ -295,7 +295,7 @@ TEST(TelemetrySinks, JsonIsParseableAndComplete)
     ASSERT_FALSE(epochs.empty());
 
     const std::string json = telemetryJson(epochs);
-    EXPECT_TRUE(jsonParseCheck(json));
+    EXPECT_TRUE(jsonParse(json).has_value());
     EXPECT_NE(json.find("\"schema\":\"asdsim/telemetry/v1\""),
               std::string::npos);
     EXPECT_NE(json.find("\"slh\""), std::string::npos);
@@ -309,7 +309,7 @@ TEST(TelemetrySinks, ChromeTraceIsParseable)
     ASSERT_FALSE(epochs.empty());
 
     const std::string trace = telemetryChromeTrace(epochs);
-    EXPECT_TRUE(jsonParseCheck(trace));
+    EXPECT_TRUE(jsonParse(trace).has_value());
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(trace.find("\"ph\":\"C\""), std::string::npos);
@@ -321,8 +321,9 @@ TEST(TelemetrySinks, EmptySeriesStillWellFormed)
     std::ostringstream out;
     writeTelemetryCsv(none, out);
     EXPECT_EQ(out.str().rfind("epoch,", 0), 0u);
-    EXPECT_TRUE(jsonParseCheck(telemetryJson(none)));
-    EXPECT_TRUE(jsonParseCheck(telemetryChromeTrace(none)));
+    EXPECT_TRUE(jsonParse(telemetryJson(none)).has_value());
+    EXPECT_TRUE(
+        jsonParse(telemetryChromeTrace(none)).has_value());
 }
 
 } // namespace
