@@ -274,7 +274,11 @@ saveSnapshotRun(const CliArgs &args)
     writer.beginSection("cli");
     writer.str(bench.name);
     writer.u64(accesses);
-    saveRunOptions(writer, args.options);
+    writer.str(toJson(args.options));
+    const TelemetryConfig &telemetry = args.options.telemetry;
+    writer.b(telemetry.enabled);
+    writer.b(telemetry.capture_slh);
+    writer.u64(telemetry.max_epochs);
     writer.endSection();
 
     Cycle saved_at = 0;
@@ -332,7 +336,14 @@ loadSnapshotRun(const CliArgs &args, std::string &bench_name,
         reader.openSection("cli");
         bench_name = reader.str();
         const std::uint64_t accesses = reader.u64();
-        const RunOptions options = loadRunOptions(reader);
+        const std::optional<JsonValue> json = jsonParse(reader.str());
+        SnapshotReader::check(json.has_value(),
+                              "run options are not valid JSON");
+        RunOptions options = optionsFromJson(*json);
+        options.telemetry.enabled = reader.b();
+        options.telemetry.capture_slh = reader.b();
+        options.telemetry.max_epochs =
+            static_cast<std::size_t>(reader.u64());
         reader.endSection();
         reader.requireConfigHash(
             runConfigHash(bench_name, accesses, options));

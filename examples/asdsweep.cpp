@@ -145,8 +145,8 @@ parseArgs(int argc, char **argv)
              "sweeps (default: in-memory only)",
              cli.snapshot_dir, "DIR"),
         flag("--resume",
-             "skip jobs whose <out> record already exists, parses, and "
-             "reports status ok",
+             "skip jobs whose <out> record already exists, parses, "
+             "reports status ok, and holds the same options",
              cli.resume),
         flag("--out", "result directory (default results/sweep)",
              cli.out_dir, "DIR"),

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace asd
 {
@@ -207,17 +208,21 @@ JsonValue::asString() const
 std::optional<std::uint64_t>
 JsonValue::asU64() const
 {
-    if (kind_ != Kind::Number || !integral_ || integer_ < 0)
+    if (kind_ != Kind::Number || !integral_ || negative_)
         return std::nullopt;
-    return static_cast<std::uint64_t>(integer_);
+    return magnitude_;
 }
 
 std::optional<std::int64_t>
 JsonValue::asI64() const
 {
-    if (kind_ != Kind::Number || !integral_)
+    constexpr auto kMax =
+        static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+    if (kind_ != Kind::Number || !integral_ ||
+        magnitude_ > kMax + (negative_ ? 1 : 0))
         return std::nullopt;
-    return integer_;
+    return negative_ ? -static_cast<std::int64_t>(magnitude_ - 1) - 1
+                     : static_cast<std::int64_t>(magnitude_);
 }
 
 std::optional<double>
@@ -266,14 +271,15 @@ JsonValue::makeBool(bool flag)
 }
 
 JsonValue
-JsonValue::makeNumber(double value, std::int64_t integer,
-                      bool integral)
+JsonValue::makeNumber(double value, bool integral, bool negative,
+                      std::uint64_t magnitude)
 {
     JsonValue v;
     v.kind_ = Kind::Number;
     v.number_ = value;
-    v.integer_ = integer;
     v.integral_ = integral;
+    v.negative_ = negative && magnitude != 0;
+    v.magnitude_ = magnitude;
     return v;
 }
 
@@ -520,14 +526,17 @@ class JsonParser
         }
         const std::string lexeme(text_.substr(start, pos_ - start));
         const double value = std::strtod(lexeme.c_str(), nullptr);
-        std::int64_t integer = 0;
+        const bool negative = lexeme[0] == '-';
+        std::uint64_t magnitude = 0;
         if (integral) {
             errno = 0;
-            integer = std::strtoll(lexeme.c_str(), nullptr, 10);
+            magnitude = std::strtoull(lexeme.c_str() + (negative ? 1 : 0),
+                                      nullptr, 10);
             if (errno == ERANGE)
                 integral = false; // keep only the double reading
         }
-        return JsonValue::makeNumber(value, integer, integral);
+        return JsonValue::makeNumber(value, integral, negative,
+                                     magnitude);
     }
 
     std::optional<JsonValue>

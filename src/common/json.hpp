@@ -131,8 +131,13 @@ class JsonValue
 
     static JsonValue makeNull();
     static JsonValue makeBool(bool flag);
-    static JsonValue makeNumber(double value, std::int64_t integer,
-                                bool integral);
+    /**
+     * A number whose literal is an integer (@p integral) keeps its
+     * exact reading as @p negative and @p magnitude, so every u64
+     * and every i64 round-trips.
+     */
+    static JsonValue makeNumber(double value, bool integral,
+                                bool negative, std::uint64_t magnitude);
     static JsonValue makeString(std::string text);
     static JsonValue makeArray(std::vector<JsonValue> items);
     static JsonValue
@@ -142,7 +147,8 @@ class JsonValue
     Kind kind_ = Kind::Null;
     bool bool_ = false;
     double number_ = 0.0;
-    std::int64_t integer_ = 0;
+    std::uint64_t magnitude_ = 0;
+    bool negative_ = false;
     bool integral_ = false;
     std::string string_;
     std::vector<JsonValue> items_;

@@ -13,7 +13,7 @@
  *   - per-method token bodies, both in-class definitions and
  *     out-of-line `Class::method(...) { ... }` definitions bound
  *     back to their class across files,
- *   - free functions with bodies (writeJson, makeJobId, ...),
+ *   - free functions with bodies (visitFields, makeJobId, ...),
  *   - base-class lists (so `Snapshottable` subclasses are found
  *     transitively),
  *   - the quoted-include graph.

@@ -80,30 +80,12 @@ checkSnapshotFieldCoverage(const DeclIndex &index,
 // --- serialize-coverage --------------------------------------------
 
 /**
- * Which record type must be covered by which serializer. The
- * param_hint picks the right overload (writeJson exists for both
- * RunOptions and RunMetrics); empty means any overload counts.
+ * The records with a field list (a visitFields overload naming the
+ * record in its parameters). The records nested in them are found
+ * through their listed members.
  */
-struct SerializeBinding
-{
-    std::string_view record;
-    std::string_view function;
-    std::string_view param_hint;
-};
-
-constexpr SerializeBinding kSerializeBindings[] = {
-    {"RunOptions", "writeJson", "RunOptions"},
-    {"VmConfig", "writeJson", "RunOptions"},
-    {"TlbConfig", "writeJson", "RunOptions"},
-    {"OsConfig", "writeJson", "RunOptions"},
-    {"TenantMixConfig", "writeJson", "RunOptions"},
-    {"TunerConfig", "writeJson", "RunOptions"},
-    {"TuneSpace", "writeJson", "RunOptions"},
-    {"RunMetrics", "writeJson", "RunMetrics"},
-    {"PowerReport", "writeJson", "RunMetrics"},
-    {"RunMetrics", "metricsFromJson", ""},
-    {"PowerReport", "metricsFromJson", ""},
-};
+constexpr std::string_view kSerializedRecords[] = {"RunOptions",
+                                                   "RunMetrics"};
 
 bool
 isSerializeExempt(const MemberDecl &member)
@@ -116,90 +98,59 @@ void
 checkSerializeCoverage(const DeclIndex &index,
                        std::vector<Diagnostic> &out)
 {
-    for (const SerializeBinding &binding : kSerializeBindings) {
-        const ClassDecl *cls = index.findClass(binding.record);
-        if (!cls)
+    for (const std::string_view record : kSerializedRecords) {
+        const ClassDecl *root = index.findClass(record);
+        if (!root)
             continue; // record not in this tree (fixture corpora)
-        std::vector<const FunctionDecl *> fns;
-        for (const FunctionDecl *fn :
-             index.findFunctions(binding.function)) {
-            if (binding.param_hint.empty() ||
-                fn->paramsMention(binding.param_hint))
-                fns.push_back(fn);
-        }
-        if (fns.empty()) {
-            out.push_back(
-                {cls->file, cls->line, "serialize-coverage",
-                 Severity::Error,
-                 "record '" + cls->name + "' has no '" +
-                     std::string(binding.function) +
-                     "' counterpart (stale binding or missing "
-                     "serializer); update the serializer or the "
-                     "binding table in lint/semantic_rules.cpp",
-                 cls->name});
-            continue;
-        }
-        std::set<std::string> referenced;
-        for (const FunctionDecl *fn : fns)
-            for (const std::string &id : identifiersIn(fn->body))
-                referenced.insert(id);
-        for (const MemberDecl &member : cls->members) {
-            if (isSerializeExempt(member))
+        std::set<std::string> listed;
+        bool has_list = false;
+        for (const FunctionDecl *fn : index.findFunctions("visitFields")) {
+            if (!fn->paramsMention(record))
                 continue;
-            if (referenced.count(member.name))
-                continue;
-            out.push_back(
-                {cls->file, member.line, "serialize-coverage",
-                 Severity::Error,
-                 "field '" + member.name + "' of '" + cls->name +
-                     "' never appears in '" +
-                     std::string(binding.function) +
-                     "'; serialize it or mark it "
-                     "asdlint:allow(serialize-coverage) with a "
-                     "reason",
-                 cls->name + "::" + member.name});
-        }
-    }
-}
-
-// --- jobid-plumbing ------------------------------------------------
-
-void
-checkJobidPlumbing(const DeclIndex &index,
-                   std::vector<Diagnostic> &out)
-{
-    const ClassDecl *cls = index.findClass("RunOptions");
-    if (!cls)
-        return;
-    std::set<std::string> serialized;
-    for (const FunctionDecl *fn : index.findFunctions("writeJson"))
-        if (fn->paramsMention("RunOptions"))
+            has_list = true;
             for (const std::string &id : identifiersIn(fn->body))
-                serialized.insert(id);
-    std::set<std::string> in_job_id;
-    bool have_job_id = false;
-    for (const FunctionDecl *fn : index.findFunctions("makeJobId")) {
-        have_job_id = true;
-        for (const std::string &id : identifiersIn(fn->body))
-            in_job_id.insert(id);
-    }
-    if (!have_job_id || serialized.empty())
-        return; // no job store in this tree
-    for (const MemberDecl &member : cls->members) {
-        if (member.is_static || member.is_const)
+                listed.insert(id);
+        }
+        if (!has_list) {
+            out.push_back(
+                {root->file, root->line, "serialize-coverage",
+                 Severity::Error,
+                 "record '" + root->name +
+                     "' has no visitFields field list; its JSON "
+                     "writer and reader are derived from one",
+                 root->name});
             continue;
-        if (!serialized.count(member.name))
-            continue; // not a serialized knob (flagged elsewhere)
-        if (in_job_id.count(member.name))
-            continue;
-        out.push_back(
-            {cls->file, member.line, "jobid-plumbing",
-             Severity::Error,
-             "RunOptions knob '" + member.name +
-                 "' is serialized by writeJson but missing from "
-                 "makeJobId; two sweeps differing only in this knob "
-                 "would collide in the job store",
-             "RunOptions::" + member.name});
+        }
+        // The root, then every record reached through a listed member.
+        std::vector<const ClassDecl *> pending = {root};
+        std::set<const ClassDecl *> seen;
+        while (!pending.empty()) {
+            const ClassDecl *cls = pending.back();
+            pending.pop_back();
+            if (!seen.insert(cls).second)
+                continue;
+            for (const MemberDecl &member : cls->members) {
+                if (isSerializeExempt(member))
+                    continue;
+                if (!listed.count(member.name)) {
+                    out.push_back(
+                        {cls->file, member.line, "serialize-coverage",
+                         Severity::Error,
+                         "field '" + member.name + "' of '" +
+                             cls->name +
+                             "' is missing from the visitFields list "
+                             "of '" + root->name +
+                             "'; list it or mark it "
+                             "asdlint:allow(serialize-coverage) with a "
+                             "reason",
+                         cls->name + "::" + member.name});
+                    continue;
+                }
+                for (const std::string &tok : member.type_tokens)
+                    if (const ClassDecl *nested = index.findClass(tok))
+                        pending.push_back(nested);
+            }
+        }
     }
 }
 
@@ -540,11 +491,8 @@ semanticRuleRegistry()
         {"allow-missing-reason", Severity::Error,
          "semantic-rule suppressions must carry a justification",
          checkAllowMissingReason},
-        {"jobid-plumbing", Severity::Error,
-         "every serialized RunOptions knob must reach makeJobId",
-         checkJobidPlumbing},
         {"serialize-coverage", Severity::Error,
-         "record fields must appear in their JSON (de)serializers",
+         "record fields must appear in their visitFields list",
          checkSerializeCoverage},
         {"snapshot-field-coverage", Severity::Error,
          "Snapshottable members must be saved and restored "

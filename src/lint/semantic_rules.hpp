@@ -15,12 +15,10 @@
  *                            const/reference/raw-pointer/config/
  *                            callback members are re-derived, never
  *                            snapshotted)
- *   serialize-coverage       fields of RunOptions/RunMetrics/config
- *                            records must appear in their writeJson /
- *                            metricsFromJson counterparts
- *   jobid-plumbing           every RunOptions knob that writeJson
- *                            serializes must reach makeJobId, or two
- *                            configurations collide in the job store
+ *   serialize-coverage       fields of RunOptions/RunMetrics and of
+ *                            the records nested in them must appear
+ *                            in the record's visitFields list, which
+ *                            drives both its JSON writer and reader
  *   wall-clock-and-env       no wall-clock reads or getenv in the
  *                            deterministic layers (sim, core,
  *                            prefetch, tuner, arena)

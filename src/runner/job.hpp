@@ -86,7 +86,9 @@ struct JobResult
  * Derive a stable job id from the fields experiments vary:
  * "<bench>.<mode>.<mc_prefetcher>.pb16_sf8_d1" plus suffixes for
  * non-default knobs (fixed policy, saturation, oracle, access
- * override, seed override).
+ * override, seed override). The id does not spell out every knob;
+ * SweepRunner::run refuses two jobs that share an id but not their
+ * options.
  */
 std::string makeJobId(const Benchmark &bench, const RunOptions &options,
                       std::optional<std::uint64_t> seed = std::nullopt);

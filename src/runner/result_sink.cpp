@@ -7,6 +7,7 @@
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "sim/serialize.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace asd
 {
@@ -114,6 +115,16 @@ JsonDirSink::adoptExisting(const JobSpec &spec)
         stringAt("id") != spec.id || stringAt("status") != "ok" ||
         !wall_ms || !wall_ms->asDouble())
         return false;
+    // An id need not spell out every knob: the stored options must be
+    // this job's very options.
+    const JsonValue *options = doc->find("options");
+    try {
+        if (!options ||
+            toJson(optionsFromJson(*options)) != toJson(spec.options))
+            return false;
+    } catch (const SnapshotError &) {
+        return false;
+    }
 
     Entry entry;
     entry.id = spec.id;

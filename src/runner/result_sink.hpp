@@ -83,13 +83,14 @@ class JsonDirSink : public ResultSink
     /**
      * Try to adopt an existing record for @p spec (sweep resume): if
      * <dir>/<stem>.json exists, is valid JSON, and reports status
-     * "ok" for this very job id, keep it in the manifest without
-     * re-running the job and return true. Anything else — missing
-     * file, unparseable JSON, failed/timed-out status, a different
-     * job's record under the same stem — returns false, and the
-     * caller should run the job normally (overwriting the stale
-     * record). Adopted records count toward the manifest's "skipped"
-     * total.
+     * "ok" for this very job id and options (read back through
+     * optionsFromJson), keep it in the manifest without re-running
+     * the job and return true. Anything else — missing file,
+     * unparseable JSON, failed/timed-out status, a different job's
+     * record under the same stem, options that differ — returns
+     * false, and the caller should run the job normally (overwriting
+     * the stale record). Adopted records count toward the manifest's
+     * "skipped" total.
      */
     bool adoptExisting(const JobSpec &spec);
 

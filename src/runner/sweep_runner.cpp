@@ -1,12 +1,15 @@
 #include "runner/sweep_runner.hpp"
 
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
 
+#include "common/log.hpp"
 #include "runner/thread_pool.hpp"
 #include "runner/warm_start.hpp"
+#include "sim/serialize.hpp"
 
 namespace asd
 {
@@ -19,6 +22,18 @@ SweepRunner::SweepRunner(SweepOptions options)
 std::vector<JobResult>
 SweepRunner::run(const std::vector<JobSpec> &jobs_in)
 {
+    // Result records and resume are keyed by job id, so two jobs may
+    // share an id only when they run the same options.
+    std::map<std::string, std::string> options_by_id;
+    for (const JobSpec &job : jobs_in) {
+        const std::string options = toJson(job.options);
+        const auto [it, added] = options_by_id.emplace(job.id, options);
+        if (!added && it->second != options)
+            fatal("job id '" + job.id +
+                  "' names two jobs with different options; their "
+                  "records would overwrite each other");
+    }
+
     std::vector<JobSpec> jobs = jobs_in;
     std::size_t warm_started = 0;
     if (options_.warm_start) {

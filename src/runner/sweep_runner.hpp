@@ -81,7 +81,9 @@ class SweepRunner
     /**
      * Execute @p jobs and return their results *in job order* (not
      * completion order). Failures are captured per job; run() itself
-     * never throws on simulation errors.
+     * never throws on simulation errors. Exits with an error naming
+     * the id, before running anything, when two jobs share an id but
+     * not their options JSON.
      */
     std::vector<JobResult> run(const std::vector<JobSpec> &jobs);
 

@@ -5,7 +5,6 @@
 
 #include "common/log.hpp"
 #include "sim/serialize.hpp"
-#include "sim/snapshot_io.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/synthetic.hpp"
@@ -52,41 +51,23 @@ std::string
 warmupKey(const JobSpec &job)
 {
     const Benchmark bench = effectiveBench(job);
-    const RunOptions &o = job.options;
-    const bool has_ps = o.mode == PrefetchMode::PS ||
-                        o.mode == PrefetchMode::PMS;
-    std::ostringstream key;
-    key << "asdwarm/v1;bench=" << bench.name
-        << ";seed=" << bench.trace.seed
-        << ";acc=" << scaledAccesses(bench, o)
-        << ";wu=" << o.warmup_cycles
-        << ";ps=" << (has_ps ? 1 : 0)
-        << ";ps_kind=" << toString(o.ps_kind)
-        << ";oracle=" << (o.ps_oracle ? 1 : 0)
-        << ";sched=" << toString(o.scheduler)
-        << ";vm=" << (o.vm.enabled ? 1 : 0);
-    if (o.vm.enabled) {
-        key << ',' << toString(o.vm.policy) << ',' << o.vm.page_bytes
-            << ',' << o.vm.huge_bytes << ',' << o.vm.phys_bytes << ','
-            << o.vm.seed << ',' << o.vm.tlb.entries << ','
-            << o.vm.tlb.ways << ',' << o.vm.tlb.walk_cycles;
-    }
-    // The OS model shapes the warm-up machine (fault stalls, frame
-    // reclaim, the snapshot's "os" section), so every OS knob joins
-    // the key; two jobs share a warm-up only when their disarmed
-    // machines are identical.
-    key << ";os=" << (o.os.enabled ? 1 : 0);
-    if (o.os.enabled) {
-        key << ',' << o.os.frames << ',' << o.os.minor_fault_cycles
-            << ',' << o.os.major_fault_cycles << ','
-            << o.os.major_fault_frac << ',' << o.os.reclaim_cycles
-            << ',' << o.os.writeback_cycles << ','
-            << o.os.hashed_probe_cycles << ',' << o.os.seed << ','
-            << toString(o.vm.walker) << ',' << o.vm.page_bytes << ','
-            << o.vm.tlb.entries << ',' << o.vm.tlb.ways << ','
-            << o.vm.tlb.walk_cycles;
-    }
-    return key.str();
+    // The knobs only an armed memory-side prefetcher reads. Every
+    // other field of the warm-up options reaches the key through its
+    // JSON, so a knob added later can only cost sharing, never
+    // restore a mismatched machine.
+    RunOptions shared = warmupOptions(job);
+    const RunOptions defaults;
+    shared.mc_prefetcher = defaults.mc_prefetcher;
+    shared.fixed_policy = defaults.fixed_policy;
+    shared.buffer_lines = defaults.buffer_lines;
+    shared.filter_slots = defaults.filter_slots;
+    shared.max_degree = defaults.max_degree;
+    shared.saturate_long_streams = defaults.saturate_long_streams;
+    shared.ghb_delta_correlate = defaults.ghb_delta_correlate;
+    return "asdwarm/v2;bench=" + bench.name +
+           ";seed=" + std::to_string(bench.trace.seed) +
+           ";acc=" + std::to_string(scaledAccesses(bench, job.options)) +
+           ";" + toJson(shared);
 }
 
 bool

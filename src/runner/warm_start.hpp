@@ -15,14 +15,16 @@
  * starts (pinned by test_runner).
  *
  * warmupKey() is the sharing contract: it must include every knob
- * that shapes the disarmed machine's evolution (benchmark, trace
- * seed, resolved trace length, processor-side prefetching, scheduler,
- * VM layer, the boundary itself) and must exclude everything the
- * disarmed machine cannot see (memory-side prefetcher kind and
- * parameters, LPQ policy pinning, telemetry). The snapshot's header
- * hash is the FNV-1a of the key, so a stale or foreign cache file is
- * rejected and the job falls back to a cold start instead of
- * restoring a mismatched machine.
+ * that shapes the disarmed machine's evolution and may exclude only
+ * what the disarmed machine cannot see. It is the benchmark, trace
+ * seed and resolved trace length followed by the options JSON of the
+ * warm-up machine, with the memory-side-only knobs (prefetcher kind,
+ * LPQ policy pinning, buffer lines, filter slots, degree, long-stream
+ * saturation, GHB correlation mode) reset to their defaults; the
+ * JSON never carries telemetry. The snapshot's header hash is the
+ * FNV-1a of the key, so a stale or foreign cache file is rejected
+ * and the job falls back to a cold start instead of restoring a
+ * mismatched machine.
  */
 
 #include <cstddef>

@@ -1,5 +1,13 @@
 #include "sim/serialize.hpp"
 
+#include <cstddef>
+#include <limits>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
+#include "snapshot/snapshot.hpp"
+
 namespace asd
 {
 
@@ -146,156 +154,388 @@ parsePageWalkerKind(const std::string &text)
     return enumFromName(nameTable(PageWalkerKind{}), text);
 }
 
+namespace
+{
+
+/** The longest tune-space axis a reader accepts. */
+constexpr std::size_t kMaxTuneAxis = 4096;
+
+template <typename T>
+constexpr bool kIsOptional = false;
+template <typename T>
+constexpr bool kIsOptional<std::optional<T>> = true;
+
+/**
+ * A record as the field lists see it: const when the visitor writes
+ * JSON, mutable when it reads JSON back.
+ */
+template <typename V, typename T>
+using FieldRef = std::conditional_t<V::kWrites, const T &, T &>;
+
+/**
+ * The one field list of RunOptions, in document order: each field
+ * once, with its JSON key and the condition under which it or its
+ * block is written. The writer and the reader both walk this list.
+ * telemetry is deliberately absent: it only observes a run, and
+ * listing it would change every options JSON and config hash.
+ */
+template <typename V>
+void
+visitFields(V &v, FieldRef<V, RunOptions> o)
+{
+    v.field("mode", o.mode);
+    v.field("mc_prefetcher", o.mc_prefetcher);
+    v.field("ps_kind", o.ps_kind);
+    v.field("scheduler", o.scheduler);
+    v.field("fixed_policy", o.fixed_policy);
+    v.field("buffer_lines", o.buffer_lines);
+    v.field("filter_slots", o.filter_slots);
+    v.field("max_degree", o.max_degree);
+    v.field("saturate_long_streams", o.saturate_long_streams);
+    v.field("ps_oracle", o.ps_oracle);
+    v.field("accesses", o.accesses);
+    v.field("warmup_cycles", o.warmup_cycles);
+    v.block("vm", [&] {
+        v.field("enabled", o.vm.enabled);
+        v.field("policy", o.vm.policy);
+        v.field("page_bytes", o.vm.page_bytes);
+        v.field("huge_bytes", o.vm.huge_bytes);
+        v.field("phys_bytes", o.vm.phys_bytes);
+        v.field("seed", o.vm.seed);
+        v.field("tlb_entries", o.vm.tlb.entries);
+        v.field("tlb_ways", o.vm.tlb.ways);
+        v.field("walk_cycles", o.vm.tlb.walk_cycles);
+        v.fieldUnless("walker", o.vm.walker, PageWalkerKind::Radix);
+    });
+    v.fieldUnless("ghb_delta_correlate", o.ghb_delta_correlate, false);
+    v.blockIf("os", o.os.enabled, [&] {
+        v.field("frames", o.os.frames);
+        v.field("minor_fault_cycles", o.os.minor_fault_cycles);
+        v.field("major_fault_cycles", o.os.major_fault_cycles);
+        v.field("major_fault_frac", o.os.major_fault_frac);
+        v.field("reclaim_cycles", o.os.reclaim_cycles);
+        v.field("writeback_cycles", o.os.writeback_cycles);
+        v.field("hashed_probe_cycles", o.os.hashed_probe_cycles);
+        v.field("seed", o.os.seed);
+    });
+    v.blockIf("tenants", o.tenants.enabled, [&] {
+        v.field("slots", o.tenants.slots);
+        v.field("zipf_s", o.tenants.zipf_s);
+        v.field("mean_lifetime", o.tenants.mean_lifetime);
+        v.field("seed", o.tenants.seed);
+    });
+    v.blockIf("tuner", o.tuner.enabled, [&] {
+        v.field("shadow_horizon", o.tuner.shadow_horizon);
+        v.field("min_epochs_between", o.tuner.min_epochs_between);
+        v.field("max_decisions", o.tuner.max_decisions);
+        v.field("shadow_threads", o.tuner.shadow_threads);
+        v.field("phase_window", o.tuner.phase_window);
+        v.field("phase_threshold_milli_pct",
+                o.tuner.phase_threshold_milli_pct);
+        v.field("degrees", o.tuner.space.degrees);
+        v.field("filter_slots", o.tuner.space.filter_slots);
+        v.field("buffer_lines", o.tuner.space.buffer_lines);
+        v.field("epoch_reads", o.tuner.space.epoch_reads);
+        v.field("policies", o.tuner.space.policies);
+    });
+}
+
+/** The one field list of RunMetrics (see the RunOptions list). */
+template <typename V>
+void
+visitFields(V &v, FieldRef<V, RunMetrics> m)
+{
+    v.field("cycles", m.cycles);
+    v.field("accesses", m.accesses);
+    v.field("dram_watts", m.dram_watts);
+    v.field("dram_energy_mj", m.dram_energy_mj);
+    v.block("power_pj", [&] {
+        v.field("background", m.power.background_pj);
+        v.field("activate", m.power.activate_pj);
+        v.field("read", m.power.read_pj);
+        v.field("write", m.power.write_pj);
+        v.field("refresh", m.power.refresh_pj);
+        if constexpr (V::kWrites) // derived: written, never read back
+            v.field("total", m.power.totalPj());
+    });
+    v.field("useful_prefetch_pct", m.useful_prefetch_pct);
+    v.field("coverage_pct", m.coverage_pct);
+    v.field("delayed_regular_pct", m.delayed_regular_pct);
+    v.field("mc_reads", m.mc_reads);
+    v.field("mc_writes", m.mc_writes);
+    v.field("ms_prefetches_issued", m.ms_prefetches_issued);
+    v.field("buffer_hits", m.buffer_hits);
+    v.field("lpq_drops", m.lpq_drops);
+    v.block("vm", [&] {
+        v.field("enabled", m.vm_enabled);
+        v.field("tlb_hits", m.tlb_hits);
+        v.field("tlb_misses", m.tlb_misses);
+        v.field("tlb_evictions", m.tlb_evictions);
+        v.field("page_walk_cycles", m.page_walk_cycles);
+        v.field("pages_mapped", m.pages_mapped);
+    });
+    v.blockIf("os", m.os_enabled, [&] {
+        v.field("minor_faults", m.os_minor_faults);
+        v.field("major_faults", m.os_major_faults);
+        v.field("reclaims", m.os_reclaims);
+        v.field("writebacks", m.os_writebacks);
+        v.field("shootdowns", m.os_shootdowns);
+        v.field("stall_cycles", m.os_stall_cycles);
+        v.field("resident_pages", m.os_resident_pages);
+    });
+    v.blockIf("tenants", m.tenants_enabled, [&] {
+        v.field("arrivals", m.tenant_arrivals);
+        v.field("departures", m.tenant_departures);
+        v.field("active", m.tenant_active);
+    });
+}
+
+/**
+ * Writes a record through its field list. A block or a
+ * fieldUnless() member is left out when its condition says so,
+ * which keeps every options JSON written before those fields
+ * existed (and thus its runConfigHash) byte-identical.
+ */
+class FieldWriter
+{
+  public:
+    static constexpr bool kWrites = true;
+
+    explicit FieldWriter(JsonWriter &writer) : writer_(writer) {}
+
+    template <typename T>
+    void
+    field(std::string_view key, const T &value)
+    {
+        writer_.key(key);
+        if constexpr (std::is_enum_v<T>) {
+            writer_.value(toString(value));
+        } else if constexpr (kIsOptional<T>) {
+            if (value)
+                writer_.value(*value);
+            else
+                writer_.null();
+        } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+            writer_.beginArray();
+            for (const std::uint32_t item : value)
+                writer_.value(item);
+            writer_.endArray();
+        } else {
+            writer_.value(value);
+        }
+    }
+
+    /** Written only when @p value differs from @p omitted. */
+    template <typename T>
+    void
+    fieldUnless(std::string_view key, const T &value, const T &omitted)
+    {
+        if (value != omitted)
+            field(key, value);
+    }
+
+    /** Written only when @p present. */
+    template <typename Body>
+    void
+    blockIf(std::string_view key, bool present, const Body &body)
+    {
+        if (!present)
+            return;
+        writer_.key(key).beginObject();
+        body();
+        writer_.endObject();
+    }
+
+    template <typename Body>
+    void
+    block(std::string_view key, const Body &body)
+    {
+        blockIf(key, true, body);
+    }
+
+  private:
+    JsonWriter &writer_;
+};
+
+/**
+ * Reads a record back through its field list. Every listed key must
+ * be present with a value of its field's kind, except that an absent
+ * fieldUnless() member or blockIf() block reads as omitted. The
+ * first problem stops the read and is kept as a message naming the
+ * key's full path (e.g. "vm.policy").
+ */
+class FieldReader
+{
+  public:
+    static constexpr bool kWrites = false;
+
+    explicit FieldReader(const JsonValue &root) : object_(&root)
+    {
+        if (root.kind() != JsonValue::Kind::Object)
+            error_ = "expects a JSON object";
+    }
+
+    /** Empty when every field read cleanly. */
+    const std::string &
+    error() const
+    {
+        return error_;
+    }
+
+    template <typename T>
+    void
+    field(std::string_view key, T &out)
+    {
+        if (const JsonValue *value = find(key, true)) {
+            const std::string problem = read(*value, out);
+            if (!problem.empty())
+                fail(key, problem);
+        }
+    }
+
+    template <typename T>
+    void
+    fieldUnless(std::string_view key, T &out, const T &omitted)
+    {
+        out = omitted;
+        if (find(key, false))
+            field(key, out);
+    }
+
+    template <typename Body>
+    void
+    blockIf(std::string_view key, bool &present, const Body &body)
+    {
+        const JsonValue *value = find(key, false);
+        present = value != nullptr;
+        if (!value)
+            return;
+        if (value->kind() != JsonValue::Kind::Object)
+            return fail(key, "expects an object");
+        const JsonValue *outer = object_;
+        const std::size_t outer_prefix = prefix_.size();
+        object_ = value;
+        prefix_ += std::string(key) + ".";
+        body();
+        object_ = outer;
+        prefix_.resize(outer_prefix);
+    }
+
+    template <typename Body>
+    void
+    block(std::string_view key, const Body &body)
+    {
+        bool present = false;
+        blockIf(key, present, body);
+        if (!present)
+            fail(key, "is missing");
+    }
+
+  private:
+    /** Member @p key of the current object; nullptr after an error. */
+    const JsonValue *
+    find(std::string_view key, bool required)
+    {
+        if (!error_.empty())
+            return nullptr;
+        const JsonValue *value = object_->find(key);
+        if (!value && required)
+            fail(key, "is missing");
+        return value;
+    }
+
+    void
+    fail(std::string_view key, const std::string &problem)
+    {
+        if (error_.empty())
+            error_ = "key '" + prefix_ + std::string(key) + "' " + problem;
+    }
+
+    /**
+     * Store @p value into @p out and return "", or leave @p out alone
+     * and return what is wrong with @p value.
+     */
+    template <typename T>
+    static std::string
+    read(const JsonValue &value, T &out)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            if (!value.asBool())
+                return "expects true or false";
+            out = *value.asBool();
+        } else if constexpr (std::is_enum_v<T>) {
+            const std::string *text = value.asString();
+            const std::optional<T> parsed =
+                text ? enumFromName(nameTable(T{}), *text) : std::nullopt;
+            if (!parsed)
+                return "expects one of " + enumChoices(nameTable(T{}));
+            out = *parsed;
+        } else if constexpr (std::is_integral_v<T>) {
+            const auto number = [&value] {
+                if constexpr (std::is_signed_v<T>)
+                    return value.asI64();
+                else
+                    return value.asU64();
+            }();
+            if (!number)
+                return std::is_signed_v<T> ? "expects an integer"
+                                           : "expects an unsigned integer";
+            if (!std::in_range<T>(*number))
+                return "value " + std::to_string(*number) +
+                       " overflows its " + std::to_string(8 * sizeof(T)) +
+                       "-bit field";
+            out = static_cast<T>(*number);
+        } else if constexpr (std::is_same_v<T, double>) {
+            if (!value.asDouble())
+                return "expects a number";
+            out = *value.asDouble();
+        } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+            if (value.kind() != JsonValue::Kind::Array)
+                return "expects a list";
+            if (value.items().size() > kMaxTuneAxis)
+                return "lists " + std::to_string(value.items().size()) +
+                       " values, more than " + std::to_string(kMaxTuneAxis);
+            T items(value.items().size());
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                const std::string problem = read(value.items()[i], items[i]);
+                if (!problem.empty())
+                    return "entry " + std::to_string(i) + " " + problem;
+            }
+            out = std::move(items);
+        } else {
+            static_assert(kIsOptional<T>, "field type without a reader");
+            typename T::value_type inner{};
+            const std::string problem =
+                value.isNull() ? std::string() : read(value, inner);
+            if (problem.empty())
+                out = value.isNull() ? T() : T(inner);
+            return problem;
+        }
+        return {};
+    }
+
+    const JsonValue *object_;
+    std::string prefix_;
+    std::string error_;
+};
+
+} // namespace
+
 void
 writeJson(JsonWriter &writer, const RunOptions &options)
 {
+    FieldWriter fields(writer);
     writer.beginObject();
-    writer.key("mode").value(toString(options.mode));
-    writer.key("mc_prefetcher").value(toString(options.mc_prefetcher));
-    writer.key("ps_kind").value(toString(options.ps_kind));
-    writer.key("scheduler").value(toString(options.scheduler));
-    writer.key("fixed_policy");
-    if (options.fixed_policy)
-        writer.value(*options.fixed_policy);
-    else
-        writer.null();
-    writer.key("buffer_lines").value(options.buffer_lines);
-    writer.key("filter_slots").value(options.filter_slots);
-    writer.key("max_degree").value(options.max_degree);
-    writer.key("saturate_long_streams")
-        .value(options.saturate_long_streams);
-    writer.key("ps_oracle").value(options.ps_oracle);
-    writer.key("accesses");
-    if (options.accesses)
-        writer.value(*options.accesses);
-    else
-        writer.null();
-    writer.key("warmup_cycles").value(options.warmup_cycles);
-    writer.key("vm").beginObject();
-    writer.key("enabled").value(options.vm.enabled);
-    writer.key("policy").value(toString(options.vm.policy));
-    writer.key("page_bytes").value(options.vm.page_bytes);
-    writer.key("huge_bytes").value(options.vm.huge_bytes);
-    writer.key("phys_bytes").value(options.vm.phys_bytes);
-    writer.key("seed").value(options.vm.seed);
-    writer.key("tlb_entries").value(options.vm.tlb.entries);
-    writer.key("tlb_ways").value(options.vm.tlb.ways);
-    writer.key("walk_cycles").value(options.vm.tlb.walk_cycles);
-    // Emitted only when non-default so every pre-existing run's
-    // options JSON (and thus its runConfigHash) stays byte-identical.
-    if (options.vm.walker != PageWalkerKind::Radix)
-        writer.key("walker").value(toString(options.vm.walker));
-    writer.endObject();
-    // Emitted only when set so every pre-existing run's options JSON
-    // (and thus its runConfigHash) stays byte-identical.
-    if (options.ghb_delta_correlate)
-        writer.key("ghb_delta_correlate").value(true);
-    if (options.os.enabled) {
-        const OsConfig &os = options.os;
-        writer.key("os").beginObject();
-        writer.key("frames").value(os.frames);
-        writer.key("minor_fault_cycles").value(os.minor_fault_cycles);
-        writer.key("major_fault_cycles").value(os.major_fault_cycles);
-        writer.key("major_fault_frac").value(os.major_fault_frac);
-        writer.key("reclaim_cycles").value(os.reclaim_cycles);
-        writer.key("writeback_cycles").value(os.writeback_cycles);
-        writer.key("hashed_probe_cycles")
-            .value(os.hashed_probe_cycles);
-        writer.key("seed").value(os.seed);
-        writer.endObject();
-    }
-    if (options.tenants.enabled) {
-        const TenantMixConfig &ten = options.tenants;
-        writer.key("tenants").beginObject();
-        writer.key("slots").value(ten.slots);
-        writer.key("zipf_s").value(ten.zipf_s);
-        writer.key("mean_lifetime").value(ten.mean_lifetime);
-        writer.key("seed").value(ten.seed);
-        writer.endObject();
-    }
-    if (options.tuner.enabled) {
-        const TunerConfig &t = options.tuner;
-        writer.key("tuner").beginObject();
-        writer.key("shadow_horizon").value(t.shadow_horizon);
-        writer.key("min_epochs_between").value(t.min_epochs_between);
-        writer.key("max_decisions").value(t.max_decisions);
-        writer.key("shadow_threads").value(t.shadow_threads);
-        writer.key("phase_window").value(t.phase_window);
-        writer.key("phase_threshold_milli_pct")
-            .value(t.phase_threshold_milli_pct);
-        const auto axis = [&writer](const char *name,
-                                    const std::vector<std::uint32_t>
-                                        &values) {
-            writer.key(name).beginArray();
-            for (const std::uint32_t v : values)
-                writer.value(v);
-            writer.endArray();
-        };
-        axis("degrees", t.space.degrees);
-        axis("filter_slots", t.space.filter_slots);
-        axis("buffer_lines", t.space.buffer_lines);
-        axis("epoch_reads", t.space.epoch_reads);
-        axis("policies", t.space.policies);
-        writer.endObject();
-    }
+    visitFields(fields, options);
     writer.endObject();
 }
 
 void
 writeJson(JsonWriter &writer, const RunMetrics &metrics)
 {
+    FieldWriter fields(writer);
     writer.beginObject();
-    writer.key("cycles").value(metrics.cycles);
-    writer.key("accesses").value(metrics.accesses);
-    writer.key("dram_watts").value(metrics.dram_watts);
-    writer.key("dram_energy_mj").value(metrics.dram_energy_mj);
-    writer.key("power_pj").beginObject();
-    writer.key("background").value(metrics.power.background_pj);
-    writer.key("activate").value(metrics.power.activate_pj);
-    writer.key("read").value(metrics.power.read_pj);
-    writer.key("write").value(metrics.power.write_pj);
-    writer.key("refresh").value(metrics.power.refresh_pj);
-    writer.key("total").value(metrics.power.totalPj());
-    writer.endObject();
-    writer.key("useful_prefetch_pct")
-        .value(metrics.useful_prefetch_pct);
-    writer.key("coverage_pct").value(metrics.coverage_pct);
-    writer.key("delayed_regular_pct")
-        .value(metrics.delayed_regular_pct);
-    writer.key("mc_reads").value(metrics.mc_reads);
-    writer.key("mc_writes").value(metrics.mc_writes);
-    writer.key("ms_prefetches_issued")
-        .value(metrics.ms_prefetches_issued);
-    writer.key("buffer_hits").value(metrics.buffer_hits);
-    writer.key("lpq_drops").value(metrics.lpq_drops);
-    writer.key("vm").beginObject();
-    writer.key("enabled").value(metrics.vm_enabled);
-    writer.key("tlb_hits").value(metrics.tlb_hits);
-    writer.key("tlb_misses").value(metrics.tlb_misses);
-    writer.key("tlb_evictions").value(metrics.tlb_evictions);
-    writer.key("page_walk_cycles").value(metrics.page_walk_cycles);
-    writer.key("pages_mapped").value(metrics.pages_mapped);
-    writer.endObject();
-    // Emitted only when present so pre-existing metrics JSON stays
-    // byte-identical (mirrors the options-side convention).
-    if (metrics.os_enabled) {
-        writer.key("os").beginObject();
-        writer.key("minor_faults").value(metrics.os_minor_faults);
-        writer.key("major_faults").value(metrics.os_major_faults);
-        writer.key("reclaims").value(metrics.os_reclaims);
-        writer.key("writebacks").value(metrics.os_writebacks);
-        writer.key("shootdowns").value(metrics.os_shootdowns);
-        writer.key("stall_cycles").value(metrics.os_stall_cycles);
-        writer.key("resident_pages").value(metrics.os_resident_pages);
-        writer.endObject();
-    }
-    if (metrics.tenants_enabled) {
-        writer.key("tenants").beginObject();
-        writer.key("arrivals").value(metrics.tenant_arrivals);
-        writer.key("departures").value(metrics.tenant_departures);
-        writer.key("active").value(metrics.tenant_active);
-        writer.endObject();
-    }
+    visitFields(fields, metrics);
     writer.endObject();
 }
 
@@ -315,111 +555,26 @@ toJson(const RunMetrics &metrics)
     return writer.str();
 }
 
-namespace
-{
-
-/** Read a required double member; false on absence or kind error. */
-bool
-readDouble(const JsonValue &object, std::string_view name,
-           double &out)
-{
-    const JsonValue *member = object.find(name);
-    if (!member)
-        return false;
-    const auto value = member->asDouble();
-    if (!value)
-        return false;
-    out = *value;
-    return true;
-}
-
-/** Read a required u64 member; false on absence or kind error. */
-bool
-readU64(const JsonValue &object, std::string_view name,
-        std::uint64_t &out)
-{
-    const JsonValue *member = object.find(name);
-    if (!member)
-        return false;
-    const auto value = member->asU64();
-    if (!value)
-        return false;
-    out = *value;
-    return true;
-}
-
-} // namespace
-
 std::optional<RunMetrics>
 metricsFromJson(const JsonValue &value)
 {
-    if (value.kind() != JsonValue::Kind::Object)
+    RunMetrics metrics;
+    FieldReader fields(value);
+    visitFields(fields, metrics);
+    if (!fields.error().empty())
         return std::nullopt;
-    RunMetrics m;
-    if (!readU64(value, "cycles", m.cycles) ||
-        !readU64(value, "accesses", m.accesses) ||
-        !readDouble(value, "dram_watts", m.dram_watts) ||
-        !readDouble(value, "dram_energy_mj", m.dram_energy_mj))
-        return std::nullopt;
-    const JsonValue *power = value.find("power_pj");
-    if (!power || power->kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    if (!readDouble(*power, "background", m.power.background_pj) ||
-        !readDouble(*power, "activate", m.power.activate_pj) ||
-        !readDouble(*power, "read", m.power.read_pj) ||
-        !readDouble(*power, "write", m.power.write_pj) ||
-        !readDouble(*power, "refresh", m.power.refresh_pj))
-        return std::nullopt;
-    if (!readDouble(value, "useful_prefetch_pct",
-                    m.useful_prefetch_pct) ||
-        !readDouble(value, "coverage_pct", m.coverage_pct) ||
-        !readDouble(value, "delayed_regular_pct",
-                    m.delayed_regular_pct) ||
-        !readU64(value, "mc_reads", m.mc_reads) ||
-        !readU64(value, "mc_writes", m.mc_writes) ||
-        !readU64(value, "ms_prefetches_issued",
-                 m.ms_prefetches_issued) ||
-        !readU64(value, "buffer_hits", m.buffer_hits) ||
-        !readU64(value, "lpq_drops", m.lpq_drops))
-        return std::nullopt;
-    const JsonValue *vm = value.find("vm");
-    if (!vm || vm->kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    const JsonValue *enabled = vm->find("enabled");
-    if (!enabled || !enabled->asBool())
-        return std::nullopt;
-    m.vm_enabled = *enabled->asBool();
-    if (!readU64(*vm, "tlb_hits", m.tlb_hits) ||
-        !readU64(*vm, "tlb_misses", m.tlb_misses) ||
-        !readU64(*vm, "tlb_evictions", m.tlb_evictions) ||
-        !readU64(*vm, "page_walk_cycles", m.page_walk_cycles) ||
-        !readU64(*vm, "pages_mapped", m.pages_mapped))
-        return std::nullopt;
-    // Optional blocks: absent in every record written before the OS
-    // model / tenant engine existed (and in runs with them disabled).
-    if (const JsonValue *os = value.find("os")) {
-        if (os->kind() != JsonValue::Kind::Object)
-            return std::nullopt;
-        m.os_enabled = true;
-        if (!readU64(*os, "minor_faults", m.os_minor_faults) ||
-            !readU64(*os, "major_faults", m.os_major_faults) ||
-            !readU64(*os, "reclaims", m.os_reclaims) ||
-            !readU64(*os, "writebacks", m.os_writebacks) ||
-            !readU64(*os, "shootdowns", m.os_shootdowns) ||
-            !readU64(*os, "stall_cycles", m.os_stall_cycles) ||
-            !readU64(*os, "resident_pages", m.os_resident_pages))
-            return std::nullopt;
-    }
-    if (const JsonValue *ten = value.find("tenants")) {
-        if (ten->kind() != JsonValue::Kind::Object)
-            return std::nullopt;
-        m.tenants_enabled = true;
-        if (!readU64(*ten, "arrivals", m.tenant_arrivals) ||
-            !readU64(*ten, "departures", m.tenant_departures) ||
-            !readU64(*ten, "active", m.tenant_active))
-            return std::nullopt;
-    }
-    return m;
+    return metrics;
+}
+
+RunOptions
+optionsFromJson(const JsonValue &value)
+{
+    RunOptions options;
+    FieldReader fields(value);
+    visitFields(fields, options);
+    if (!fields.error().empty())
+        throw SnapshotError("run options: " + fields.error());
+    return options;
 }
 
 } // namespace asd

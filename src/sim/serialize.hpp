@@ -7,6 +7,12 @@
  * names shared by the CLIs and the sweep runner's job ids, and JSON
  * serialization of RunOptions / RunMetrics so sweep results can be
  * consumed by scripts instead of scraped from text tables.
+ *
+ * Each record has one field list (visitFields in serialize.cpp) that
+ * names every field once with its JSON key; the writers and readers
+ * below all walk it. The options JSON is the only serialization of
+ * RunOptions: sweep records, snapshot metadata, runConfigHash and
+ * the warm-up key are all built from it.
  */
 
 #include <optional>
@@ -70,6 +76,16 @@ std::string toJson(const RunMetrics &metrics);
  * partial records are rejected rather than zero-filled.
  */
 std::optional<RunMetrics> metricsFromJson(const JsonValue &value);
+
+/**
+ * Inverse of writeJson(RunOptions), so that
+ * toJson(optionsFromJson(*jsonParse(toJson(o)))) == toJson(o). The
+ * options' telemetry settings are not part of the JSON and come back
+ * as defaults. Throws SnapshotError naming the key on a missing key,
+ * a value of the wrong kind, an unknown enum spelling, an integer
+ * that overflows its field, or a tune-space axis longer than 4096.
+ */
+RunOptions optionsFromJson(const JsonValue &value);
 
 } // namespace asd
 

@@ -1,177 +1,10 @@
 #include "sim/snapshot_io.hpp"
 
 #include "sim/serialize.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace asd
 {
-
-namespace
-{
-
-template <typename Enum>
-Enum
-readEnum(SnapshotReader &r, Enum max, const char *what)
-{
-    const std::uint8_t v = r.u8();
-    SnapshotReader::check(v <= static_cast<std::uint8_t>(max), what);
-    return static_cast<Enum>(v);
-}
-
-void
-saveU32Vec(SnapshotWriter &w, const std::vector<std::uint32_t> &v)
-{
-    w.u64(v.size());
-    for (const std::uint32_t x : v)
-        w.u32(x);
-}
-
-std::vector<std::uint32_t>
-loadU32Vec(SnapshotReader &r)
-{
-    const std::uint64_t count = r.u64();
-    SnapshotReader::check(count <= 4096,
-                          "tune-space axis implausibly long");
-    std::vector<std::uint32_t> v(count);
-    for (std::uint32_t &x : v)
-        x = r.u32();
-    return v;
-}
-
-} // namespace
-
-void
-saveRunOptions(SnapshotWriter &w, const RunOptions &options)
-{
-    w.u8(static_cast<std::uint8_t>(options.mode));
-    w.u8(static_cast<std::uint8_t>(options.mc_prefetcher));
-    w.u8(static_cast<std::uint8_t>(options.ps_kind));
-    w.u8(static_cast<std::uint8_t>(options.scheduler));
-    w.b(options.fixed_policy.has_value());
-    w.i64(options.fixed_policy.value_or(0));
-    w.u32(options.buffer_lines);
-    w.u32(options.filter_slots);
-    w.u32(options.max_degree);
-    w.b(options.saturate_long_streams);
-    w.b(options.ps_oracle);
-    w.b(options.accesses.has_value());
-    w.u64(options.accesses.value_or(0));
-    w.u64(options.warmup_cycles);
-    w.b(options.vm.enabled);
-    w.u8(static_cast<std::uint8_t>(options.vm.policy));
-    w.u64(options.vm.page_bytes);
-    w.u64(options.vm.huge_bytes);
-    w.u64(options.vm.phys_bytes);
-    w.u64(options.vm.seed);
-    w.u32(options.vm.tlb.entries);
-    w.u32(options.vm.tlb.ways);
-    w.u64(options.vm.tlb.walk_cycles);
-    w.u8(static_cast<std::uint8_t>(options.vm.walker));
-    w.b(options.os.enabled);
-    w.u64(options.os.frames);
-    w.u64(options.os.minor_fault_cycles);
-    w.u64(options.os.major_fault_cycles);
-    w.f64(options.os.major_fault_frac);
-    w.u64(options.os.reclaim_cycles);
-    w.u64(options.os.writeback_cycles);
-    w.u64(options.os.hashed_probe_cycles);
-    w.u64(options.os.seed);
-    w.b(options.tenants.enabled);
-    w.u32(options.tenants.slots);
-    w.f64(options.tenants.zipf_s);
-    w.u64(options.tenants.mean_lifetime);
-    w.u64(options.tenants.seed);
-    w.b(options.telemetry.enabled);
-    w.b(options.telemetry.capture_slh);
-    w.u64(options.telemetry.max_epochs);
-    w.b(options.ghb_delta_correlate);
-    w.b(options.tuner.enabled);
-    w.u64(options.tuner.shadow_horizon);
-    w.u32(options.tuner.min_epochs_between);
-    w.u32(options.tuner.max_decisions);
-    w.u32(options.tuner.shadow_threads);
-    w.u32(options.tuner.phase_window);
-    w.u32(options.tuner.phase_threshold_milli_pct);
-    saveU32Vec(w, options.tuner.space.degrees);
-    saveU32Vec(w, options.tuner.space.filter_slots);
-    saveU32Vec(w, options.tuner.space.buffer_lines);
-    saveU32Vec(w, options.tuner.space.epoch_reads);
-    saveU32Vec(w, options.tuner.space.policies);
-}
-
-RunOptions
-loadRunOptions(SnapshotReader &r)
-{
-    RunOptions options;
-    options.mode =
-        readEnum(r, PrefetchMode::PMS, "prefetch mode out of range");
-    options.mc_prefetcher =
-        readEnum(r, McPrefetcherKind::Perceptron,
-                 "memory-side prefetcher kind out of range");
-    options.ps_kind =
-        readEnum(r, PsKind::Asd,
-                 "processor-side prefetcher kind out of range");
-    options.scheduler = readEnum(r, SchedulerKind::FrFcfs,
-                                 "scheduler kind out of range");
-    const bool has_policy = r.b();
-    const std::int64_t policy = r.i64();
-    if (has_policy)
-        options.fixed_policy = static_cast<int>(policy);
-    options.buffer_lines = r.u32();
-    options.filter_slots = r.u32();
-    options.max_degree = r.u32();
-    options.saturate_long_streams = r.b();
-    options.ps_oracle = r.b();
-    const bool has_accesses = r.b();
-    const std::uint64_t accesses = r.u64();
-    if (has_accesses)
-        options.accesses = accesses;
-    options.warmup_cycles = r.u64();
-    options.vm.enabled = r.b();
-    options.vm.policy =
-        readEnum(r, FrameAllocPolicy::HugePage,
-                 "frame-allocation policy out of range");
-    options.vm.page_bytes = r.u64();
-    options.vm.huge_bytes = r.u64();
-    options.vm.phys_bytes = r.u64();
-    options.vm.seed = r.u64();
-    options.vm.tlb.entries = r.u32();
-    options.vm.tlb.ways = r.u32();
-    options.vm.tlb.walk_cycles = r.u64();
-    options.vm.walker = readEnum(r, PageWalkerKind::Hashed,
-                                 "page-walker kind out of range");
-    options.os.enabled = r.b();
-    options.os.frames = r.u64();
-    options.os.minor_fault_cycles = r.u64();
-    options.os.major_fault_cycles = r.u64();
-    options.os.major_fault_frac = r.f64();
-    options.os.reclaim_cycles = r.u64();
-    options.os.writeback_cycles = r.u64();
-    options.os.hashed_probe_cycles = r.u64();
-    options.os.seed = r.u64();
-    options.tenants.enabled = r.b();
-    options.tenants.slots = r.u32();
-    options.tenants.zipf_s = r.f64();
-    options.tenants.mean_lifetime = r.u64();
-    options.tenants.seed = r.u64();
-    options.telemetry.enabled = r.b();
-    options.telemetry.capture_slh = r.b();
-    options.telemetry.max_epochs =
-        static_cast<std::size_t>(r.u64());
-    options.ghb_delta_correlate = r.b();
-    options.tuner.enabled = r.b();
-    options.tuner.shadow_horizon = r.u64();
-    options.tuner.min_epochs_between = r.u32();
-    options.tuner.max_decisions = r.u32();
-    options.tuner.shadow_threads = r.u32();
-    options.tuner.phase_window = r.u32();
-    options.tuner.phase_threshold_milli_pct = r.u32();
-    options.tuner.space.degrees = loadU32Vec(r);
-    options.tuner.space.filter_slots = loadU32Vec(r);
-    options.tuner.space.buffer_lines = loadU32Vec(r);
-    options.tuner.space.epoch_reads = loadU32Vec(r);
-    options.tuner.space.policies = loadU32Vec(r);
-    return options;
-}
 
 std::uint64_t
 runConfigHash(const std::string &bench_name, std::uint64_t accesses,

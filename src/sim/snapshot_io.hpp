@@ -3,37 +3,28 @@
 
 /**
  * @file
- * Glue between the snapshot format and the experiment layer: binary
- * (de)serialization of RunOptions for the "cli" metadata section, the
+ * Glue between the snapshot format and the experiment layer: the
  * canonical config hash that binds a snapshot file to the run that
- * produced it, and whole-run save/load helpers used by asdsim_cli and
- * the snapshot tests.
+ * produced it.
  *
- * A run snapshot is a machine snapshot (System::saveSnapshot) plus
- * one leading "cli" section recording what was being run: benchmark
- * name, the resolved trace length (after ASD_BENCH_SCALE and any
- * --accesses override), and the full RunOptions. Loading rebuilds the
- * identical System from that metadata, so a snapshot file is
- * self-describing — no side-channel config file needed.
+ * A run snapshot (asdsim_cli --save-snapshot) is a machine snapshot
+ * (System::saveSnapshot) plus one leading "cli" section recording
+ * what was being run: benchmark name, the resolved trace length
+ * (after ASD_BENCH_SCALE and any --accesses override), the options
+ * JSON (toJson(RunOptions), the text runConfigHash hashes) and the
+ * three telemetry settings the JSON leaves out. Loading rebuilds the
+ * identical System from that metadata through optionsFromJson, so a
+ * snapshot file is self-describing — no side-channel config file
+ * needed.
  */
 
 #include <cstdint>
 #include <string>
 
 #include "sim/experiment.hpp"
-#include "snapshot/snapshot.hpp"
 
 namespace asd
 {
-
-/** Serialize @p options into the currently open section. */
-void saveRunOptions(SnapshotWriter &w, const RunOptions &options);
-
-/**
- * Read RunOptions back from the currently open section. Throws
- * SnapshotError on out-of-range enum values.
- */
-RunOptions loadRunOptions(SnapshotReader &r);
 
 /**
  * Canonical config hash for one single-threaded run: FNV-1a of the

@@ -48,8 +48,10 @@ namespace asd
  * VM walker kind plus the "os"/"tenants" blocks, telemetry epochs
  * grew OS/tenant columns, and OS-enabled machines add an "os"
  * section.
+ * v4: the asdsim_cli "cli" section stores the options JSON (the
+ * text runConfigHash hashes) instead of a binary copy of RunOptions.
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /**
  * Any way a snapshot can be unusable: truncated or corrupt bytes,

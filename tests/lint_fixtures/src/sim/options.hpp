@@ -1,38 +1,24 @@
 #ifndef FIXTURE_OPTIONS_HPP
 #define FIXTURE_OPTIONS_HPP
 
-// serialize-coverage and jobid-plumbing fixtures. The record names
-// (RunOptions, RunMetrics) and serializer names (writeJson,
-// metricsFromJson, makeJobId) match the binding table in
-// semantic_rules.cpp, so the rules treat this mini-tree exactly like
-// the real one.
+// serialize-coverage fixtures. The record names (RunOptions,
+// RunMetrics) and the field-list name (visitFields) match the real
+// tree, so the rule treats this mini-tree exactly like the real one.
+// Each deliberately missing field yields exactly one finding.
 
 namespace fix
 {
 
-struct RunOptions
-{
-    unsigned long accesses = 0; // serialized and in the job id
-    unsigned int threads = 1;   // serialized but missing from makeJobId
-    bool debug_dump = false;    // never serialized: serialize-coverage
-};
-
-struct RunMetrics
-{
-    unsigned long instructions = 0; // round-trips: no finding
-    unsigned long cycles = 0;       // written but never restored
-};
-
-// Nested config records bound through the same writeJson(RunOptions)
-// overload, the way the real tree serializes the OS and tenant
-// blocks: emitted only when enabled, which must still count as
-// coverage for every field the block mentions.
+// Nested records are reached through the RunOptions members that the
+// list names, the way the real tree lists the OS and tenant blocks:
+// written only when enabled, which must still count as coverage for
+// every field the block mentions.
 
 struct OsConfig
 {
     bool enabled = false;       // referenced by the guard: covered
-    unsigned long frames = 0;   // emitted inside the block: covered
-    unsigned long debug_pokes = 0; // never emitted: serialize-coverage
+    unsigned long frames = 0;   // listed inside the block: covered
+    unsigned long debug_pokes = 0; // never listed: serialize-coverage
 };
 
 struct TenantMixConfig
@@ -41,36 +27,38 @@ struct TenantMixConfig
     unsigned int slots = 0;
 };
 
-inline void
-writeJson(JsonWriter &json, const RunOptions &options)
+struct RunOptions
 {
-    json.field("accesses", options.accesses);
-    json.field("threads", options.threads);
-    if (options.os.enabled)
-        json.field("frames", options.os.frames);
-    if (options.tenants.enabled)
-        json.field("slots", options.tenants.slots);
+    unsigned long accesses = 0; // listed: no finding
+    unsigned int threads = 1;   // listed: no finding
+    bool debug_dump = false;    // never listed: serialize-coverage
+    OsConfig os;
+    TenantMixConfig tenants;
+};
+
+struct RunMetrics
+{
+    unsigned long instructions = 0; // listed: no finding
+    unsigned long cycles = 0;       // never listed: serialize-coverage
+};
+
+template <typename V>
+void
+visitFields(V &v, FieldRef<V, RunOptions> options)
+{
+    v.field("accesses", options.accesses);
+    v.field("threads", options.threads);
+    v.blockIf("os", options.os.enabled,
+              [&] { v.field("frames", options.os.frames); });
+    v.blockIf("tenants", options.tenants.enabled,
+              [&] { v.field("slots", options.tenants.slots); });
 }
 
-inline void
-writeJson(JsonWriter &json, const RunMetrics &metrics)
+template <typename V>
+void
+visitFields(V &v, FieldRef<V, RunMetrics> metrics)
 {
-    json.field("instructions", metrics.instructions);
-    json.field("cycles", metrics.cycles);
-}
-
-inline RunMetrics
-metricsFromJson(const JsonValue &value)
-{
-    RunMetrics metrics;
-    metrics.instructions = value.u64("instructions");
-    return metrics;
-}
-
-inline unsigned long
-makeJobId(const RunOptions &options)
-{
-    return mixHash(options.accesses);
+    v.field("instructions", metrics.instructions);
 }
 
 } // namespace fix

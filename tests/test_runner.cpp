@@ -4,7 +4,8 @@
  * structured failure capture, edge cases (empty job list, one
  * thread, more threads than jobs), the soft timeout, the JSON/CSV
  * result sinks (records must be parseable), the JSON serialization
- * helpers, and the hardened ASD_BENCH_SCALE parser.
+ * helpers and their round trips, warm-up keys, job-id identity,
+ * resume, and the hardened ASD_BENCH_SCALE parser.
  */
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -178,6 +180,34 @@ TEST(SweepRunner, FailingJobYieldsFailureRecordOthersComplete)
     EXPECT_NE(record.find("\"metrics\":null"), std::string::npos);
 }
 
+TEST(SweepRunner, RefusesTwoJobsSharingAnIdWithDifferentOptions)
+{
+    // makeJobId rounds the Zipf exponent to milli-units, so these two
+    // tenant mixes get one id; their records would overwrite each
+    // other, so the runner refuses the list before running anything.
+    RunOptions options;
+    options.accesses = kShortTrace;
+    options.tenants.enabled = true;
+    RunOptions skewed = options;
+    skewed.tenants.zipf_s = 1.0004;
+    const Benchmark &bench = findBenchmark("bwaves");
+    const std::vector<JobSpec> jobs = {makeJob(bench, options),
+                                       makeJob(bench, skewed)};
+    ASSERT_EQ(jobs[0].id, jobs[1].id);
+    EXPECT_EXIT(SweepRunner().run(jobs), testing::ExitedWithCode(1),
+                "job id '" + jobs[0].id + "'");
+}
+
+TEST(SweepRunner, AllowsARepeatedJob)
+{
+    RunOptions options;
+    options.accesses = kShortTrace;
+    const JobSpec job = makeJob(findBenchmark("bwaves"), options);
+    const std::vector<JobResult> results = SweepRunner().run({job, job});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].metrics == results[1].metrics);
+}
+
 TEST(SweepRunner, EmptyJobListFinishesImmediately)
 {
     SweepOptions options;
@@ -300,6 +330,92 @@ TEST(Serialize, EnumRoundTrips)
     EXPECT_EQ(parseMcPrefetcherKind("bogus"), std::nullopt);
 }
 
+/** One options configuration per field-list feature. */
+std::vector<RunOptions>
+roundTripConfigurations()
+{
+    std::vector<RunOptions> configs(1); // defaults
+    for (const FrameAllocPolicy policy :
+         {FrameAllocPolicy::Identity, FrameAllocPolicy::Sequential,
+          FrameAllocPolicy::RandomShuffle, FrameAllocPolicy::HugePage}) {
+        RunOptions o;
+        o.vm.enabled = true;
+        o.vm.policy = policy;
+        o.vm.page_bytes = 65536;
+        o.vm.seed = ~std::uint64_t{0}; // above the i64 range
+        o.vm.tlb.entries = 128;
+        configs.push_back(o);
+    }
+    RunOptions os;
+    os.os.enabled = true;
+    os.os.frames = 256;
+    os.os.major_fault_frac = 0.020000001;
+    os.vm.walker = PageWalkerKind::Hashed;
+    configs.push_back(os);
+    RunOptions tenants;
+    tenants.tenants.enabled = true;
+    tenants.tenants.slots = 3;
+    tenants.tenants.zipf_s = 1.0004;
+    tenants.tenants.mean_lifetime = 0;
+    configs.push_back(tenants);
+    RunOptions tuner;
+    tuner.tuner.enabled = true;
+    tuner.tuner.max_decisions = 7;
+    tuner.tuner.space.degrees = {1, 8};
+    tuner.tuner.space.filter_slots = {};
+    tuner.tuner.space.buffer_lines = {64};
+    tuner.tuner.space.epoch_reads = {500, 1000, 2000, 4000};
+    tuner.tuner.space.policies = {0, 5};
+    configs.push_back(tuner);
+    RunOptions pinned;
+    pinned.fixed_policy = -3;
+    pinned.mode = PrefetchMode::MS;
+    pinned.scheduler = SchedulerKind::FrFcfs;
+    pinned.ps_kind = PsKind::Asd;
+    configs.push_back(pinned);
+    RunOptions accesses;
+    accesses.accesses = 123456789;
+    accesses.ps_oracle = true;
+    accesses.saturate_long_streams = true;
+    configs.push_back(accesses);
+    RunOptions warmup;
+    warmup.warmup_cycles = 40000;
+    warmup.mc_prefetcher = McPrefetcherKind::Perceptron;
+    configs.push_back(warmup);
+    RunOptions ghb;
+    ghb.mc_prefetcher = McPrefetcherKind::Ghb;
+    ghb.ghb_delta_correlate = true;
+    configs.push_back(ghb);
+    return configs;
+}
+
+TEST(Serialize, OptionsRoundTripThroughJson)
+{
+    for (const RunOptions &options : roundTripConfigurations()) {
+        const std::string json = toJson(options);
+        const std::optional<JsonValue> doc = jsonParse(json);
+        ASSERT_TRUE(doc) << json;
+        EXPECT_EQ(toJson(optionsFromJson(*doc)), json);
+    }
+}
+
+TEST(Serialize, MetricsRoundTripThroughJson)
+{
+    RunMetrics metrics;
+    metrics.cycles = 123;
+    metrics.power.refresh_pj = 0.1;
+    metrics.dram_watts = 1.0 / 3.0;
+    metrics.os_enabled = true;
+    metrics.os_major_faults = 9;
+    metrics.tenants_enabled = true;
+    metrics.tenant_active = 2;
+    const std::optional<JsonValue> doc = jsonParse(toJson(metrics));
+    ASSERT_TRUE(doc);
+    EXPECT_EQ(metricsFromJson(*doc), metrics);
+    // The derived total is written for readers of the JSON only.
+    EXPECT_NE(toJson(metrics).find("\"total\":"), std::string::npos);
+}
+
 TEST(Json, WriterAndChecker)
 {
     JsonWriter writer;
@@ -327,6 +443,25 @@ TEST(Json, WriterAndChecker)
     EXPECT_FALSE(jsonParse("{} trailing").has_value());
     EXPECT_FALSE(jsonParse("[1,]").has_value());
     EXPECT_FALSE(jsonParse("nan").has_value());
+}
+
+TEST(Json, IntegersKeepTheirExactReading)
+{
+    const auto number = [](const char *text) { return *jsonParse(text); };
+    EXPECT_EQ(number("18446744073709551615").asU64(),
+              ~std::uint64_t{0});
+    EXPECT_EQ(number("18446744073709551615").asI64(), std::nullopt);
+    EXPECT_EQ(number("18446744073709551616").asU64(), std::nullopt);
+    EXPECT_EQ(number("9223372036854775807").asI64(),
+              std::numeric_limits<std::int64_t>::max());
+    EXPECT_EQ(number("-9223372036854775808").asI64(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_EQ(number("-9223372036854775809").asI64(), std::nullopt);
+    EXPECT_EQ(number("-7").asI64(), -7);
+    EXPECT_EQ(number("-7").asU64(), std::nullopt);
+    EXPECT_EQ(number("-0").asU64(), 0u);
+    EXPECT_EQ(number("7.0").asU64(), std::nullopt);
+    EXPECT_EQ(number("7.0").asDouble(), 7.0);
 }
 
 // --- warm-start reuse ----------------------------------------------
@@ -375,6 +510,29 @@ TEST(WarmStart, KeyIgnoresMemorySideKnobsOnly)
     JobSpec custom = jobs[0];
     custom.body = [](const JobSpec &) { return RunMetrics{}; };
     EXPECT_FALSE(warmStartEligible(custom));
+}
+
+TEST(WarmStart, KeySeesEveryDigitOfMachineKnobs)
+{
+    // The key carries the options JSON, whose doubles round-trip
+    // exactly: two OS machines whose major-fault fractions differ in
+    // the ninth digit must not share a warm-up.
+    JobSpec a = warmStartGridJobs(3000)[0];
+    a.options.os.enabled = true;
+    JobSpec b = a;
+    b.options.os.major_fault_frac = 0.020000001;
+    ASSERT_EQ(a.options.os.major_fault_frac, 0.02);
+    EXPECT_NE(warmupKey(a), warmupKey(b));
+    EXPECT_EQ(warmupKey(a).rfind("asdwarm/v2;", 0), 0u);
+
+    // Tenant and telemetry settings never reach a shared warm-up
+    // (tenant jobs cold-start), but every machine knob does.
+    JobSpec walker = a;
+    walker.options.vm.walker = PageWalkerKind::Hashed;
+    EXPECT_NE(warmupKey(a), warmupKey(walker));
+    JobSpec telemetry = a;
+    telemetry.options.telemetry.enabled = true;
+    EXPECT_EQ(warmupKey(a), warmupKey(telemetry));
 }
 
 TEST(WarmStart, SweepMatchesColdStartBitForBit)
@@ -591,6 +749,46 @@ TEST(Resume, ReadsTopLevelFieldsOfTheParsedRecord)
     ASSERT_TRUE(records);
     ASSERT_EQ(records->items().size(), 1u);
     EXPECT_EQ(records->items()[0].find("wall_ms")->asDouble(), 12.5);
+}
+
+TEST(Resume, RerunsARecordWhoseOptionsDiffer)
+{
+    const std::filesystem::path dir = "results/test_resume_options";
+    std::filesystem::remove_all(dir);
+    JobResult result;
+    result.spec = fourWaySweepJobs()[0];
+    const std::filesystem::path path =
+        dir / (sanitizeFileStem(result.spec.id) + ".json");
+    JsonDirSink sink(dir.string());
+    {
+        std::ofstream out(path);
+        out << JsonDirSink::recordJson(result) << "\n";
+    }
+
+    // Same id, but a knob the id does not spell out differs: the
+    // stored record is for another run, so the job reruns.
+    JobSpec changed = result.spec;
+    changed.options.vm.seed += 1;
+    ASSERT_EQ(changed.id, result.spec.id);
+    EXPECT_FALSE(sink.adoptExisting(changed));
+
+    // An options member that does not read back is not adopted.
+    std::string damaged = JsonDirSink::recordJson(result);
+    const std::size_t at = damaged.find("\"scheduler\":\"ahb\"");
+    ASSERT_NE(at, std::string::npos);
+    damaged.replace(at, 17, "\"scheduler\":\"xyz\"");
+    {
+        std::ofstream out(path);
+        out << damaged << "\n";
+    }
+    EXPECT_FALSE(sink.adoptExisting(result.spec));
+
+    {
+        std::ofstream out(path);
+        out << JsonDirSink::recordJson(result) << "\n";
+    }
+    EXPECT_TRUE(sink.adoptExisting(result.spec));
+    EXPECT_EQ(sink.skipped(), 1u);
 }
 
 TEST(ThreadPool, DefaultThreadCountFallsBackOnMalformedEnv)

@@ -5,8 +5,9 @@
  * images (magic, version, CRC, truncation, config hash), whole-system
  * save -> load -> save byte identity, restore-then-run equality with
  * an uninterrupted run (VM off and on, telemetry on, splits before
- * and after the warm-up boundary), and the component-presence rules
- * that warm-start forking relies on.
+ * and after the warm-up boundary), the component-presence rules
+ * that warm-start forking relies on, and the checks on the options
+ * JSON a run snapshot's "cli" section carries.
  */
 
 #include <cstdint>
@@ -15,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hpp"
 #include "sim/experiment.hpp"
+#include "sim/serialize.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "trace/synthetic.hpp"
@@ -345,6 +348,166 @@ TEST(SnapshotPresence, MemorySideForkAllowedOneWay)
     System np_system(testConfig(PrefetchMode::NP), {&trace2});
     SnapshotReader reader2(ms_snap);
     EXPECT_THROW(np_system.loadSnapshot(reader2), SnapshotError);
+}
+
+// --- the "cli" section: options JSON read back on load -------------
+
+/** Options whose JSON holds every block, for the rejection cases. */
+RunOptions
+fullOptions()
+{
+    RunOptions options;
+    options.fixed_policy = 2;
+    options.vm.enabled = true;
+    options.tuner.enabled = true;
+    return options;
+}
+
+/**
+ * Replace @p from by @p to in the options JSON of fullOptions() and
+ * return what optionsFromJson throws ("" when it accepts the text).
+ */
+std::string
+rejection(const std::string &from, const std::string &to)
+{
+    std::string json = toJson(fullOptions());
+    const std::size_t at = json.find(from);
+    if (at == std::string::npos)
+        return "test bug: '" + from + "' not in " + json;
+    json.replace(at, from.size(), to);
+    const std::optional<JsonValue> doc = jsonParse(json);
+    if (!doc)
+        return "test bug: not JSON: " + json;
+    try {
+        optionsFromJson(*doc);
+    } catch (const SnapshotError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SnapshotCli, AcceptsTheOptionsJsonItWrites)
+{
+    EXPECT_EQ(rejection("\"mode\"", "\"mode\""), "");
+}
+
+TEST(SnapshotCli, RejectsAMissingKeyNamingIt)
+{
+    EXPECT_NE(rejection("\"buffer_lines\":16,", "")
+                  .find("key 'buffer_lines' is missing"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"tlb_ways\":4,", "")
+                  .find("key 'vm.tlb_ways' is missing"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"vm\":{", "\"vmx\":{")
+                  .find("key 'vm' is missing"),
+              std::string::npos);
+}
+
+TEST(SnapshotCli, RejectsAValueOfTheWrongKindNamingIt)
+{
+    EXPECT_NE(rejection("\"ps_oracle\":false", "\"ps_oracle\":0")
+                  .find("key 'ps_oracle' expects true or false"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"page_bytes\":4096", "\"page_bytes\":-1")
+                  .find("key 'vm.page_bytes' expects an unsigned"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"accesses\":null", "\"accesses\":\"5\"")
+                  .find("key 'accesses'"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"degrees\":[1,2,4]", "\"degrees\":[1,2.5]")
+                  .find("key 'tuner.degrees' entry 1 expects"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"vm\":{", "\"vm\":7,\"x\":{")
+                  .find("key 'vm' expects an object"),
+              std::string::npos);
+    EXPECT_THROW(optionsFromJson(JsonValue::makeNull()), SnapshotError);
+}
+
+TEST(SnapshotCli, RejectsAnUnknownEnumSpellingNamingIt)
+{
+    EXPECT_NE(rejection("\"scheduler\":\"ahb\"",
+                        "\"scheduler\":\"fifo\"")
+                  .find("key 'scheduler' expects one of "
+                        "ahb|memoryless|inorder|frfcfs"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"policy\":\"identity\"",
+                        "\"policy\":\"Identity\"")
+                  .find("key 'vm.policy' expects one of"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"walk_cycles\":60",
+                        "\"walk_cycles\":60,\"walker\":\"tree\"")
+                  .find("key 'vm.walker' expects one of radix|hashed"),
+              std::string::npos);
+}
+
+TEST(SnapshotCli, RejectsAnIntegerThatOverflowsItsField)
+{
+    EXPECT_NE(rejection("\"buffer_lines\":16",
+                        "\"buffer_lines\":4294967296")
+                  .find("key 'buffer_lines' value 4294967296 overflows "
+                        "its 32-bit field"),
+              std::string::npos);
+    EXPECT_EQ(rejection("\"buffer_lines\":16",
+                        "\"buffer_lines\":4294967295"),
+              "");
+    EXPECT_NE(rejection("\"fixed_policy\":2",
+                        "\"fixed_policy\":2147483648")
+                  .find("key 'fixed_policy' value 2147483648 overflows"),
+              std::string::npos);
+    EXPECT_NE(rejection("\"fixed_policy\":2",
+                        "\"fixed_policy\":-2147483649")
+                  .find("key 'fixed_policy'"),
+              std::string::npos);
+    EXPECT_EQ(rejection("\"fixed_policy\":2",
+                        "\"fixed_policy\":-2147483648"),
+              "");
+    EXPECT_NE(rejection("\"warmup_cycles\":0",
+                        "\"warmup_cycles\":18446744073709551616")
+                  .find("key 'warmup_cycles'"),
+              std::string::npos);
+}
+
+TEST(SnapshotCli, RejectsATuneAxisLongerThanTheCap)
+{
+    RunOptions options = fullOptions();
+    options.tuner.space.policies.assign(4096, 1);
+    const auto read = [](const RunOptions &o) {
+        return optionsFromJson(*jsonParse(toJson(o)));
+    };
+    EXPECT_EQ(read(options).tuner.space.policies.size(), 4096u);
+    options.tuner.space.policies.push_back(1);
+    try {
+        read(options);
+        ADD_FAILURE() << "a 4097-entry axis was accepted";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "key 'tuner.policies' lists 4097 values"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(SnapshotCli, OlderFormatVersionFailsOnTheVersion)
+{
+    // A version-3 file (binary RunOptions in its "cli" section) is
+    // refused by its header before any section is parsed.
+    SnapshotWriter writer;
+    writer.beginSection("cli");
+    writer.str("bwaves");
+    writer.endSection();
+    std::vector<std::uint8_t> bytes = writer.finish(kHash);
+    ASSERT_EQ(bytes[8], kSnapshotFormatVersion);
+    bytes[8] = 3;
+    try {
+        SnapshotReader reader(bytes);
+        ADD_FAILURE() << "a version-3 snapshot was accepted";
+    } catch (const SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "unsupported snapshot format version 3"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace
