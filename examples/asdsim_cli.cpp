@@ -55,6 +55,31 @@ struct CliArgs
     std::string tuner_json;      //!< per-decision JSON path
 };
 
+/**
+ * Refuse a translation knob that would silently do nothing: the
+ * --os-* knobs need --os, the placement knobs need --vm-policy, and
+ * the granule and TLB knobs need one of the two.
+ */
+void
+requireTranslationLayer(const std::vector<std::string> &given,
+                        const RunOptions &o)
+{
+    const auto startsWith = [](const std::string &name, const char *p) {
+        return name.rfind(p, 0) == 0;
+    };
+    for (const std::string &name : given) {
+        if (startsWith(name, "--os-") && !o.os.enabled)
+            fatal(name + " has no effect without --os");
+        if ((name == "--vm-seed" || name == "--vm-phys-mb") &&
+            !o.vm.enabled)
+            fatal(name + " has no effect without --vm-policy");
+        if ((name == "--vm-page-bytes" || name == "--vm-walk-cycles" ||
+             startsWith(name, "--vm-tlb-")) &&
+            !o.vm.enabled && !o.os.enabled)
+            fatal(name + " has no effect without --vm-policy or --os");
+    }
+}
+
 CliArgs
 parseArgs(int argc, char **argv)
 {
@@ -223,7 +248,8 @@ parseArgs(int argc, char **argv)
              "(--csv/--json/--telemetry-*) apply",
              args.load_path, "PATH"),
     };
-    parseFlags(argc, argv, "usage: asdsim_cli [options]", flags);
+    requireTranslationLayer(
+        parseFlags(argc, argv, "usage: asdsim_cli [options]", flags), o);
     return args;
 }
 
@@ -440,7 +466,8 @@ main(int argc, char **argv)
               "one interleaved trace)");
     if (args.options.os.enabled && args.options.vm.enabled)
         fatal("--os and --vm-policy are mutually exclusive (the OS "
-              "model replaces the VM layer's infinite allocators)");
+              "model's finite frame pool replaces the VM layer's "
+              "unbounded placement)");
     if (!args.save_path.empty() && !args.load_path.empty())
         fatal("--save-snapshot and --load-snapshot are mutually "
               "exclusive");

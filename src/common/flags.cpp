@@ -81,10 +81,11 @@ flagUsage(const std::string &usage, const std::vector<Flag> &flags)
     return out;
 }
 
-void
+std::vector<std::string>
 parseFlags(int argc, const char *const *argv, const std::string &usage,
            const std::vector<Flag> &flags)
 {
+    std::vector<std::string> given;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
@@ -103,7 +104,9 @@ parseFlags(int argc, const char *const *argv, const std::string &usage,
                 fatal("missing value after " + arg);
             match->apply(argv[++i]);
         }
+        given.push_back(arg);
     }
+    return given;
 }
 
 } // namespace asd

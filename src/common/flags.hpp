@@ -297,9 +297,12 @@ std::string flagUsage(const std::string &usage,
  * Apply argv[1..argc) to @p flags in command-line order. "--help" or
  * "-h" prints flagUsage() and exits 0; an unknown flag or a missing
  * value exits 1.
+ * @return the names of the flags given, in command-line order, so a
+ *         CLI can refuse a flag that has no effect in its context.
  */
-void parseFlags(int argc, const char *const *argv,
-                const std::string &usage, const std::vector<Flag> &flags);
+std::vector<std::string> parseFlags(int argc, const char *const *argv,
+                                    const std::string &usage,
+                                    const std::vector<Flag> &flags);
 
 } // namespace asd
 

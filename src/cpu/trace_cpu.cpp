@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hpp"
+#include "os/mmu.hpp"
 
 namespace asd
 {
@@ -10,7 +11,7 @@ namespace asd
 TraceCpu::TraceCpu(const CpuConfig &config, TraceSource &trace,
                    CacheHierarchy &hierarchy, CpuPrefetcher *ps,
                    MemPort &port, std::uint32_t thread,
-                   AddressTranslator *mmu)
+                   Mmu *mmu)
     : config_(config),
       trace_(trace),
       hierarchy_(hierarchy),

@@ -69,8 +69,8 @@ anyInclude(const Token &tok)
 namespace
 {
 constexpr std::string_view kLayerOrder[] = {
-    "common", "lint",  "snapshot", "trace",    "vm",
-    "os",     "dram",  "cache",    "mc",       "core",
+    "common", "lint",  "snapshot", "trace",    "os",
+    "dram",   "cache", "mc",       "core",
     "prefetch", "telemetry", "cpu", "workloads", "sim",
     "runner", "tuner", "arena",
 };

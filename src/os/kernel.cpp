@@ -10,39 +10,60 @@ namespace asd
 OsKernel::OsKernel(const OsConfig &config, const VmConfig &vm)
     : config_(config),
       pool_(config.frames, config.seed),
-      walker_(makePageWalker(vm, config.hashed_probe_cycles,
-                             config.frames)),
       rng_(config.seed ^ 0x05c0ffeeULL)
 {
     if (config_.major_fault_frac < 0.0 ||
         config_.major_fault_frac > 1.0)
         fatal("os: major_fault_frac must be in [0, 1]");
+    tables_.push_back(
+        makePageWalker(vm, config.hashed_probe_cycles, config.frames));
+}
+
+OsKernel::OsKernel(const VmConfig &vm, std::uint32_t threads)
+    : pool_(vm), rng_(config_.seed ^ 0x05c0ffeeULL)
+{
+    for (std::uint32_t t = 0; t < threads; ++t)
+        tables_.push_back(
+            std::make_unique<RadixWalker>(vm.tlb.walk_cycles));
+}
+
+PageWalker &
+OsKernel::tableOf(std::uint32_t thread)
+{
+    if (finite())
+        return *tables_.front();
+    panicIfNot(thread < tables_.size(), "vm: thread has no page table");
+    return *tables_[thread];
 }
 
 OsTouchResult
-OsKernel::touch(std::uint32_t space, std::uint64_t vpn, bool is_write)
+OsKernel::touch(std::uint32_t space, std::uint64_t vpn, bool is_write,
+                std::uint32_t thread)
 {
     OsTouchResult result;
-    const std::uint64_t key = osPageKey(space, vpn);
+    PageWalker &table = tableOf(thread);
+    const std::uint64_t key = pageKey(space, vpn);
     Cycles walk = 0;
-    if (walker_->lookup(key, result.pfn, walk)) {
+    if (table.lookup(key, result.pfn, walk)) {
         result.stall_cycles = walk;
-        pool_.markAccess(result.pfn, is_write);
+        markAccess(result.pfn, is_write);
         stall_cycles_.inc(result.stall_cycles);
         return result;
     }
 
-    // Page fault: the failed walk is already paid, then the fault
-    // service time, then reclaim if the pool is full.
+    // Absent page: the failed walk is already paid. Under the OS model
+    // a fault's service time follows, then reclaim if the pool is full.
     result.stall_cycles = walk;
-    result.major_fault = rng_.chance(config_.major_fault_frac);
-    result.minor_fault = !result.major_fault;
-    if (result.major_fault) {
-        major_faults_.inc();
-        result.stall_cycles += config_.major_fault_cycles;
-    } else {
-        minor_faults_.inc();
-        result.stall_cycles += config_.minor_fault_cycles;
+    if (finite()) {
+        result.major_fault = rng_.chance(config_.major_fault_frac);
+        result.minor_fault = !result.major_fault;
+        if (result.major_fault) {
+            major_faults_.inc();
+            result.stall_cycles += config_.major_fault_cycles;
+        } else {
+            minor_faults_.inc();
+            result.stall_cycles += config_.minor_fault_cycles;
+        }
     }
 
     bool evicted = false;
@@ -59,41 +80,52 @@ OsKernel::touch(std::uint32_t space, std::uint64_t vpn, bool is_write)
         }
         const std::uint64_t victim_key =
             osPageKey(victim.space, victim.vpn);
-        walker_->unmap(victim_key);
+        table.unmap(victim_key);
         for (Tlb *tlb : tlbs_) {
             if (tlb->invalidate(victim_key))
                 shootdowns_.inc();
         }
     }
-    walker_->map(key, result.pfn);
+    table.map(key, result.pfn);
     stall_cycles_.inc(result.stall_cycles);
     return result;
 }
 
-void
-OsKernel::markAccess(std::uint64_t pfn, bool is_write)
+std::uint64_t
+OsKernel::pagesMapped() const
 {
-    pool_.markAccess(pfn, is_write);
+    std::uint64_t pages = 0;
+    for (const auto &table : tables_)
+        pages += table->pagesMapped();
+    return pages;
 }
 
 void
 OsKernel::registerStats(StatRegistry &registry,
                         const std::string &prefix) const
 {
+    if (!finite()) {
+        pool_.registerStats(registry, prefix);
+        for (std::size_t t = 0; t < tables_.size(); ++t)
+            tables_[t]->registerStats(registry,
+                                      prefix + ".t" + std::to_string(t));
+        return;
+    }
     registry.add(prefix + ".minor_faults", minor_faults_);
     registry.add(prefix + ".major_faults", major_faults_);
     registry.add(prefix + ".reclaims", reclaims_);
     registry.add(prefix + ".writebacks", writebacks_);
     registry.add(prefix + ".shootdowns", shootdowns_);
     registry.add(prefix + ".stall_cycles", stall_cycles_);
-    walker_->registerStats(registry, prefix);
+    tables_.front()->registerStats(registry, prefix);
 }
 
 void
 OsKernel::saveState(SnapshotWriter &w) const
 {
     pool_.saveState(w);
-    walker_->saveState(w);
+    for (const auto &table : tables_)
+        table->saveState(w);
     for (const std::uint64_t word : rng_.state())
         w.u64(word);
     w.u64(minor_faults_.value());
@@ -108,7 +140,8 @@ void
 OsKernel::loadState(SnapshotReader &r)
 {
     pool_.loadState(r);
-    walker_->loadState(r);
+    for (const auto &table : tables_)
+        table->loadState(r);
     std::array<std::uint64_t, 4> state;
     for (std::uint64_t &word : state)
         word = r.u64();

@@ -7,7 +7,7 @@
  * with demand paging and memory-pressure reclaim, layered on the VM
  * config's translation granule, TLB geometry, and walker selection.
  * Where the plain VM layer charges a fixed walk cost against an
- * infinite frame supply, the OS model charges minor/major fault
+ * unbounded frame pool, the OS model charges minor/major fault
  * latencies, CLOCK reclaim, and dirty writebacks — the machinery
  * that actually shreds physical streams on a loaded server. Disabled
  * by default: runs are bit-identical to the pre-OS simulator.

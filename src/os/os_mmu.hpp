@@ -3,55 +3,17 @@
 
 /**
  * @file
- * Per-hardware-thread MMU for the OS model. Mirrors vm::Mmu's shape
- * (private TLB over shared translation state) but keys the TLB on
- * (address space, vpn) so tenants never alias, and routes misses
- * through the shared OsKernel's fault path instead of an infinite
- * allocator.
+ * The OS model's former MMU name. There is one Mmu for every
+ * translation; this alias keeps the host-throughput benchmark's
+ * probes (perfbench/probes.cpp) building unchanged.
  */
 
-#include <cstdint>
-
-#include "common/stats.hpp"
-#include "common/types.hpp"
-#include "os/kernel.hpp"
-#include "vm/tlb.hpp"
-#include "vm/translator.hpp"
+#include "os/mmu.hpp"
 
 namespace asd
 {
 
-/** OS-model memory-management unit for one hardware thread. */
-class OsMmu : public AddressTranslator, public Snapshottable
-{
-  public:
-    /** @param kernel shared kernel; must outlive the OsMmu. */
-    OsMmu(const VmConfig &vm, OsKernel &kernel, std::uint32_t thread);
-
-    Addr translate(const MemAccess &access,
-                   Cycles &stall_cycles) override;
-
-    const Tlb &tlb() const { return tlb_; }
-
-    /** Total translation stall charged by this thread so far. */
-    std::uint64_t stallCycles() const { return stall_cycles_.value(); }
-
-    void registerStats(StatRegistry &registry,
-                       const std::string &prefix) const;
-
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
-  private:
-    // asdlint:allow(snapshot-field-coverage): wiring to the shared kernel, fixed at construction
-    OsKernel &kernel_;
-    // asdlint:allow(snapshot-field-coverage): translation granule derived from config at construction
-    std::uint64_t page_bytes_;
-    // asdlint:allow(snapshot-field-coverage): thread id is wiring configuration fixed at construction
-    std::uint32_t thread_;
-    Tlb tlb_;
-    Counter stall_cycles_;
-};
+using OsMmu = Mmu;
 
 } // namespace asd
 

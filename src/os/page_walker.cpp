@@ -1,5 +1,9 @@
 #include "os/page_walker.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/log.hpp"
 
 namespace asd
@@ -69,8 +73,12 @@ RadixWalker::unmap(std::uint64_t key)
 void
 RadixWalker::saveState(SnapshotWriter &w) const
 {
-    w.u64(map_.size());
-    for (const auto &[key, pfn] : map_) {
+    // Sorted key order makes save -> load -> save byte-identical.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted(
+        map_.begin(), map_.end());
+    std::sort(sorted.begin(), sorted.end());
+    w.u64(sorted.size());
+    for (const auto &[key, pfn] : sorted) {
         w.u64(key);
         w.u64(pfn);
     }
@@ -82,6 +90,7 @@ RadixWalker::loadState(SnapshotReader &r)
 {
     const std::uint64_t count = r.u64();
     map_.clear();
+    map_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t key = r.u64();
         const std::uint64_t pfn = r.u64();

@@ -3,23 +3,23 @@
 
 /**
  * @file
- * Page-table organizations for the OS model. Unlike the VM layer's
- * PageTable (whose walk cost is a fixed TLB-miss charge), the walker
- * here models the *structure* of the table: a radix-style map with a
- * fixed walk latency, or a hashed/inverted table whose lookup cost
- * grows with the probe chain — so collisions under memory pressure
- * cost real cycles. Selected via VmConfig::walker.
+ * Page-table organizations. Every translation is walked through one
+ * of these: a radix-style map with a fixed walk latency (the plain VM
+ * layer's private per-thread tables, and the OS model's default), or
+ * a hashed/inverted table whose lookup cost grows with the probe
+ * chain, so collisions under memory pressure cost real cycles. The
+ * OS model selects its shared table via VmConfig::walker.
  */
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "os/vm_config.hpp"
 #include "snapshot/snapshot.hpp"
-#include "vm/vm_config.hpp"
 
 namespace asd
 {
@@ -75,8 +75,9 @@ class PageWalker : public Snapshottable
 };
 
 /**
- * Radix-style organization: an ordered map standing in for the
- * multi-level tree, every walk costing the same @p walk_cycles.
+ * Radix-style organization: a hashed map standing in for the
+ * multi-level tree, every walk costing the same @p walk_cycles. It
+ * is only point-queried, so the map is sorted only when saved.
  */
 class RadixWalker : public PageWalker
 {
@@ -95,7 +96,7 @@ class RadixWalker : public PageWalker
   private:
     // asdlint:allow(snapshot-field-coverage): fixed walk latency from config, set at construction
     Cycles walk_cycles_;
-    std::map<std::uint64_t, std::uint64_t> map_;
+    std::unordered_map<std::uint64_t, std::uint64_t> map_;
 };
 
 /**

@@ -1,4 +1,4 @@
-#include "vm/tlb.hpp"
+#include "os/tlb.hpp"
 
 #include "common/log.hpp"
 

@@ -1,5 +1,5 @@
-#ifndef ASD_VM_TLB_HPP
-#define ASD_VM_TLB_HPP
+#ifndef ASD_OS_TLB_HPP
+#define ASD_OS_TLB_HPP
 
 /**
  * @file
@@ -7,8 +7,9 @@
  * replacement, mirroring the cache tag store's structure. Entries map
  * one translation granule (a base page, or a whole huge page under
  * FrameAllocPolicy::HugePage — that coalescing is why huge pages cut
- * the miss rate so sharply). Misses cost TlbConfig::walk_cycles,
- * charged by the CPU model as an issue stall.
+ * the miss rate so sharply). A miss costs the kernel's page-table
+ * walk (and, under the OS model, any fault), charged by the CPU model
+ * as an issue stall.
  */
 
 #include <cstdint>
@@ -16,8 +17,8 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "os/vm_config.hpp"
 #include "snapshot/snapshot.hpp"
-#include "vm/vm_config.hpp"
 
 namespace asd
 {
@@ -89,4 +90,4 @@ class Tlb : public Snapshottable
 
 } // namespace asd
 
-#endif // ASD_VM_TLB_HPP
+#endif // ASD_OS_TLB_HPP

@@ -1,5 +1,5 @@
-#ifndef ASD_VM_VM_CONFIG_HPP
-#define ASD_VM_VM_CONFIG_HPP
+#ifndef ASD_OS_VM_CONFIG_HPP
+#define ASD_OS_VM_CONFIG_HPP
 
 /**
  * @file
@@ -8,10 +8,11 @@
  * *physical* addresses; how the OS maps virtual pages onto physical
  * frames shapes the stream lengths it can see (a long virtual stream
  * fragments at every page boundary under random frame allocation).
- * This config selects the mapping policy, the translation granule,
- * and the TLB geometry. Disabled by default: addresses pass through
- * untranslated and runs are bit-identical to a build without the VM
- * layer.
+ * This config selects the placement policy of the unbounded frame
+ * pool, the translation granule, and the TLB geometry; the OS model
+ * (OsConfig) reuses the granule, the TLB geometry and the walker
+ * selection. Disabled by default: addresses pass through untranslated
+ * and runs are bit-identical to a build without translation.
  */
 
 #include <cstdint>
@@ -21,7 +22,11 @@
 namespace asd
 {
 
-/** How the frame allocator places virtual pages in physical memory. */
+/**
+ * How the unbounded frame pool places virtual pages in physical
+ * memory. The OS model's finite pool has a fifth placement of its
+ * own (eager shuffle, then CLOCK reclaim).
+ */
 enum class FrameAllocPolicy : std::uint8_t
 {
     /** Frame = page number (modulo physical size): no fragmentation. */
@@ -44,10 +49,9 @@ enum class FrameAllocPolicy : std::uint8_t
 };
 
 /**
- * Page-table organization used by the OS model's software walker.
- * The plain VM layer (no OS model) always uses the radix-style
- * PageTable with a fixed walk cost; under the OS model the kernel
- * builds the walker this selects.
+ * Page-table organization of the OS model's shared table. The plain
+ * VM layer (no OS model) always gives each thread a radix-style
+ * table with a fixed walk cost.
  */
 enum class PageWalkerKind : std::uint8_t
 {
@@ -115,4 +119,4 @@ struct VmConfig
 
 } // namespace asd
 
-#endif // ASD_VM_VM_CONFIG_HPP
+#endif // ASD_OS_VM_CONFIG_HPP

@@ -103,28 +103,23 @@ System::System(const SystemConfig &config,
 
     if (config_.vm.enabled && config_.os.enabled)
         fatal("System: vm.enabled and os.enabled are mutually "
-              "exclusive — the OS model replaces the VM layer's "
-              "infinite allocators");
-    if (config_.vm.enabled)
-        frames_ = std::make_unique<FrameAllocator>(config_.vm);
+              "exclusive — the OS model's finite frame pool replaces "
+              "the VM layer's unbounded placement");
     if (config_.os.enabled)
         kernel_ = std::make_unique<OsKernel>(config_.os, config_.vm);
+    else if (config_.vm.enabled)
+        kernel_ = std::make_unique<OsKernel>(config_.vm, threads);
+    // Translation stats live under os.* for the OS model, vm.* else.
+    const std::string xlat_scope = config_.os.enabled ? "os" : "vm";
 
     for (std::uint32_t t = 0; t < threads; ++t) {
-        AddressTranslator *mmu = nullptr;
-        if (frames_) {
-            mmus_.push_back(std::make_unique<Mmu>(config_.vm,
-                                                  *frames_, t));
-            mmu = mmus_.back().get();
-            mmus_.back()->registerStats(registry_,
-                                        "vm.t" + std::to_string(t));
-        }
+        Mmu *mmu = nullptr;
         if (kernel_) {
-            os_mmus_.push_back(std::make_unique<OsMmu>(config_.vm,
-                                                       *kernel_, t));
-            mmu = os_mmus_.back().get();
-            os_mmus_.back()->registerStats(
-                registry_, "os.t" + std::to_string(t));
+            mmus_.push_back(
+                std::make_unique<Mmu>(config_.vm, *kernel_, t));
+            mmu = mmus_.back().get();
+            mmu->registerStats(registry_,
+                               xlat_scope + ".t" + std::to_string(t));
         }
         CpuPrefetcher *ps = nullptr;
         if (config_.hasPs()) {
@@ -152,7 +147,7 @@ System::System(const SystemConfig &config,
             asd_->setEpochEndHook([this](Cycle now) {
                 telemetry_->onEpochEnd(now);
             });
-            if (kernel_) {
+            if (config_.os.enabled) {
                 telemetry_->setOsProbe([this]() {
                     OsTelemetrySample sample;
                     sample.minor_faults = kernel_->minorFaults();
@@ -174,10 +169,8 @@ System::System(const SystemConfig &config,
         }
     }
 
-    if (frames_)
-        frames_->registerStats(registry_, "vm");
     if (kernel_)
-        kernel_->registerStats(registry_, "os");
+        kernel_->registerStats(registry_, xlat_scope);
     dram_.registerStats(registry_);
     mc_.registerStats(registry_, "mc");
     hierarchy_.registerStats(registry_, "cache");
@@ -391,24 +384,17 @@ System::collectMetrics() const
         metrics.power.averageWatts(now_, config_.cpu_hz);
     metrics.dram_energy_mj = metrics.power.totalPj() * 1e-9;
 
-    metrics.vm_enabled = !mmus_.empty();
+    metrics.vm_enabled = config_.vm.enabled;
+    metrics.os_enabled = config_.os.enabled;
     for (const auto &mmu : mmus_) {
-        metrics.tlb_hits += mmu->tlb().hits();
-        metrics.tlb_misses += mmu->tlb().misses();
-        metrics.tlb_evictions += mmu->tlb().evictions();
-        metrics.page_walk_cycles += mmu->walkCycles();
-        metrics.pages_mapped += mmu->pageTable().pagesMapped();
-    }
-
-    metrics.os_enabled = kernel_ != nullptr;
-    for (const auto &mmu : os_mmus_) {
         metrics.tlb_hits += mmu->tlb().hits();
         metrics.tlb_misses += mmu->tlb().misses();
         metrics.tlb_evictions += mmu->tlb().evictions();
         metrics.page_walk_cycles += mmu->stallCycles();
     }
-    if (kernel_) {
-        metrics.pages_mapped += kernel_->pagesMapped();
+    if (kernel_)
+        metrics.pages_mapped = kernel_->pagesMapped();
+    if (config_.os.enabled) {
         metrics.os_minor_faults = kernel_->minorFaults();
         metrics.os_major_faults = kernel_->majorFaults();
         metrics.os_reclaims = kernel_->reclaims();
@@ -491,9 +477,8 @@ System::saveSnapshot(SnapshotWriter &w) const
     w.u32(static_cast<std::uint32_t>(cpus_.size()));
     w.b(msPrefetcher() != nullptr);
     w.b(!ps_.empty());
-    w.b(frames_ != nullptr);
-    w.b(telemetry_ != nullptr);
     w.b(kernel_ != nullptr);
+    w.b(telemetry_ != nullptr);
     w.endSection();
 
     for (std::size_t t = 0; t < cpus_.size(); ++t) {
@@ -527,18 +512,10 @@ System::saveSnapshot(SnapshotWriter &w) const
         w.endSection();
     }
 
-    if (frames_) {
-        w.beginSection("vm");
-        frames_->saveState(w);
-        for (const auto &mmu : mmus_)
-            mmu->saveState(w);
-        w.endSection();
-    }
-
     if (kernel_) {
-        w.beginSection("os");
+        w.beginSection("vm");
         kernel_->saveState(w);
-        for (const auto &mmu : os_mmus_)
+        for (const auto &mmu : mmus_)
             mmu->saveState(w);
         w.endSection();
     }
@@ -585,10 +562,9 @@ System::loadSnapshot(SnapshotReader &r)
     const bool snap_ps = r.b();
     const bool snap_vm = r.b();
     const bool snap_tel = r.b();
-    const bool snap_os = r.b();
     r.endSection();
 
-    // The processor side and VM layer shape the pre-checkpoint
+    // The processor side and translation layer shape the pre-checkpoint
     // evolution, so they must match exactly. A snapshot WITHOUT
     // memory-side prefetcher / telemetry state may be restored into a
     // machine that HAS them (warm-start forking: the warm-up ran
@@ -601,10 +577,8 @@ System::loadSnapshot(SnapshotReader &r)
         "machine has none");
     SnapshotReader::check(snap_ps == !ps_.empty(),
                           "processor-side prefetcher presence mismatch");
-    SnapshotReader::check(snap_vm == (frames_ != nullptr),
-                          "virtual-memory presence mismatch");
-    SnapshotReader::check(snap_os == (kernel_ != nullptr),
-                          "OS-model presence mismatch");
+    SnapshotReader::check(snap_vm == (kernel_ != nullptr),
+                          "translation-layer presence mismatch");
     SnapshotReader::check(
         !snap_tel || telemetry_ != nullptr,
         "snapshot carries telemetry state but this machine has no "
@@ -649,16 +623,8 @@ System::loadSnapshot(SnapshotReader &r)
 
     if (snap_vm) {
         r.openSection("vm");
-        frames_->loadState(r);
-        for (const auto &mmu : mmus_)
-            mmu->loadState(r);
-        r.endSection();
-    }
-
-    if (snap_os) {
-        r.openSection("os");
         kernel_->loadState(r);
-        for (const auto &mmu : os_mmus_)
+        for (const auto &mmu : mmus_)
             mmu->loadState(r);
         r.endSection();
     }

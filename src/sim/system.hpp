@@ -26,12 +26,11 @@
 #include "prefetch/mc_baselines.hpp"
 #include "prefetch/ps_prefetcher.hpp"
 #include "os/kernel.hpp"
-#include "os/os_mmu.hpp"
+#include "os/mmu.hpp"
 #include "sim/metrics.hpp"
 #include "sim/system_config.hpp"
 #include "snapshot/snapshot.hpp"
 #include "telemetry/recorder.hpp"
-#include "vm/mmu.hpp"
 
 namespace asd
 {
@@ -69,9 +68,9 @@ class System : public MemPort
     /**
      * Serialize the complete machine state into @p w as named
      * sections ("sys", "cpu<t>", "cache", "mc", "dram", plus "ms",
-     * "ps<t>", "vm", "os", "tel" when those layers are present). The
-     * caller
-     * owns the surrounding file format (config hash, metadata).
+     * "ps<t>", "vm", "tel" when those layers are present; "vm" holds
+     * the translation layer, VM or OS model). The caller owns the
+     * surrounding file format (config hash, metadata).
      * Deterministic: saving twice from the same state yields
      * byte-identical payloads.
      */
@@ -118,14 +117,17 @@ class System : public MemPort
         return telemetry_.get();
     }
 
-    /** Thread @p t's MMU; null when the VM layer is disabled. */
+    /** Thread @p t's MMU; null when addresses are untranslated. */
     const Mmu *mmu(std::uint32_t t) const
     {
         return t < mmus_.size() ? mmus_[t].get() : nullptr;
     }
 
-    /** The OS kernel model; null when the OS model is disabled. */
-    const OsKernel *osKernel() const { return kernel_.get(); }
+    /**
+     * The translation kernel (VM layer or OS model); null when
+     * addresses are untranslated.
+     */
+    const OsKernel *kernel() const { return kernel_.get(); }
 
     /**
      * Forward a tenant-counter sampler to the telemetry recorder so
@@ -190,13 +192,9 @@ class System : public MemPort
 
     std::vector<std::unique_ptr<CpuPrefetcher>> ps_;
 
-    /** Shared frame pool + per-thread MMUs (VM enabled only). */
-    std::unique_ptr<FrameAllocator> frames_;
-    std::vector<std::unique_ptr<Mmu>> mmus_;
-
-    /** Shared kernel + per-thread MMUs (OS model enabled only). */
+    /** Shared kernel + per-thread MMUs (VM layer or OS model). */
     std::unique_ptr<OsKernel> kernel_;
-    std::vector<std::unique_ptr<OsMmu>> os_mmus_;
+    std::vector<std::unique_ptr<Mmu>> mmus_;
 
     std::vector<std::unique_ptr<TraceCpu>> cpus_;
 

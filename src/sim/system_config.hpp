@@ -16,6 +16,7 @@
 #include "dram/dram_config.hpp"
 #include "mc/memory_controller.hpp"
 #include "os/os_config.hpp"
+#include "os/vm_config.hpp"
 #include "prefetch/asd_ps_prefetcher.hpp"
 #include "prefetch/dspatch_prefetcher.hpp"
 #include "prefetch/ghb_prefetcher.hpp"
@@ -24,7 +25,6 @@
 #include "prefetch/ps_prefetcher.hpp"
 #include "sim/tuner_config.hpp"
 #include "telemetry/telemetry_config.hpp"
-#include "vm/vm_config.hpp"
 
 namespace asd
 {
@@ -68,8 +68,8 @@ struct SystemConfig
     CpuConfig cpu;
 
     /**
-     * Virtual-memory layer (page table + TLB + frame allocator).
-     * Disabled by default: trace addresses reach the hierarchy
+     * Virtual-memory layer (per-thread TLB and page table over an
+     * unbounded frame pool placing by vm.policy). Disabled by default: trace addresses reach the hierarchy
      * untranslated and results are bit-identical to a machine without
      * the layer.
      */
@@ -78,7 +78,7 @@ struct SystemConfig
     /**
      * OS memory model (demand paging over a finite frame pool with
      * CLOCK reclaim). Mutually exclusive with the plain VM layer: the
-     * OS model replaces the infinite allocators entirely. It reads
+     * OS model's finite pool replaces its unbounded placement. It reads
      * the granule, TLB geometry, and walker selection from `vm` but
      * ignores vm.enabled. Disabled by default; when off, runs are
      * bit-identical to a machine without the OS layer.

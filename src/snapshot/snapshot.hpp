@@ -50,8 +50,12 @@ namespace asd
  * section.
  * v4: the asdsim_cli "cli" section stores the options JSON (the
  * text runConfigHash hashes) instead of a binary copy of RunOptions.
+ * v5: one translation layer. VM and OS machines both write one "vm"
+ * section (kernel: frame pool with its placement policy, page
+ * tables, fault RNG and counters; then each thread's MMU), and the
+ * "sys" section lost its separate OS-presence flag.
  */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /**
  * Any way a snapshot can be unusable: truncated or corrupt bytes,

@@ -304,8 +304,8 @@ TEST(DeclIndexSelf, FindsEveryKnownSnapshottable)
     // exists so pass 1 can never silently lose a whole class.
     for (const char *expected :
          {"TraceSource", "MshrFile", "CacheHierarchy", "SetAssocCache",
-          "MemoryController", "Mmu", "FrameAllocator", "PageTable",
-          "Tlb", "Dram", "TraceCpu", "PrefetchBuffer", "StreamFilter",
+          "MemoryController", "Mmu", "FramePool", "OsKernel",
+          "PageWalker", "Tlb", "Dram", "TraceCpu", "PrefetchBuffer", "StreamFilter",
           "LikelihoodTable", "AdaptiveScheduler", "PhaseDetector"}) {
         EXPECT_TRUE(found.count(expected))
             << expected << " not discovered by the declaration index";

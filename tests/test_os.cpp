@@ -18,11 +18,12 @@
 #include "os/frame_pool.hpp"
 #include "os/kernel.hpp"
 #include "os/page_walker.hpp"
+#include "os/tlb.hpp"
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
+#include "os/tlb.hpp"
 #include "trace/synthetic.hpp"
-#include "vm/tlb.hpp"
 #include "workloads/profiles.hpp"
 #include "workloads/tenant_mix.hpp"
 
@@ -431,8 +432,8 @@ TEST(OsSystem, RunsAreDeterministic)
         TenantMixSource mix(mixConfig(), mixBase(total), total);
         System system(config, {&mix});
         *out = system.run();
-        EXPECT_GT(system.osKernel()->minorFaults(), 0u);
-        EXPECT_GT(system.osKernel()->reclaims(), 0u);
+        EXPECT_GT(system.kernel()->minorFaults(), 0u);
+        EXPECT_GT(system.kernel()->reclaims(), 0u);
     }
     EXPECT_EQ(first, second);
 }
@@ -462,10 +463,10 @@ TEST(OsSystem, RestoreThenRunMatchesStraightRun)
     loader.runUntil(kNoCycle);
 
     EXPECT_EQ(loader.collectMetrics(), expected);
-    EXPECT_EQ(loader.osKernel()->stallCycles(),
-              straight.osKernel()->stallCycles());
-    EXPECT_EQ(loader.osKernel()->shootdowns(),
-              straight.osKernel()->shootdowns());
+    EXPECT_EQ(loader.kernel()->stallCycles(),
+              straight.kernel()->stallCycles());
+    EXPECT_EQ(loader.kernel()->shootdowns(),
+              straight.kernel()->shootdowns());
 }
 
 } // namespace

@@ -491,13 +491,14 @@ warmStartGridJobs(Cycle warmup)
 TEST(WarmStart, KeyIgnoresMemorySideKnobsOnly)
 {
     std::vector<JobSpec> jobs = warmStartGridJobs(3000);
+    ASSERT_EQ(jobs.size(), 8u); // 2 benchmarks x MS/PMS x 8/32 lines
     // Same benchmark, same PS presence, different Prefetch Buffer
     // size: one warm-up.
     EXPECT_EQ(warmupKey(jobs[0]), warmupKey(jobs[1]));
     // PMS has a processor side, MS does not: different warm-ups.
     EXPECT_NE(warmupKey(jobs[0]), warmupKey(jobs[2]));
     // Different benchmark: different warm-up.
-    EXPECT_NE(warmupKey(jobs[0]), warmupKey(jobs[8]));
+    EXPECT_NE(warmupKey(jobs[0]), warmupKey(jobs[4]));
     // Different warm-up length: different warm-up.
     JobSpec longer = jobs[0];
     longer.options.warmup_cycles = 4000;

@@ -317,6 +317,15 @@ TEST(SnapshotPresence, PsAndVmMustMatch)
     System plain(testConfig(PrefetchMode::NP), {&trace2});
     SnapshotReader reader2(vm_snap);
     EXPECT_THROW(plain.loadSnapshot(reader2), SnapshotError);
+
+    // VM and OS machines share the one translation section; the frame
+    // pool's placement policy tells them apart.
+    SystemConfig os_config = testConfig(PrefetchMode::NP);
+    os_config.os.enabled = true;
+    SyntheticTraceGenerator trace3(testTrace());
+    System os_system(os_config, {&trace3});
+    SnapshotReader reader3(vm_snap);
+    EXPECT_THROW(os_system.loadSnapshot(reader3), SnapshotError);
 }
 
 TEST(SnapshotPresence, MemorySideForkAllowedOneWay)
@@ -490,23 +499,29 @@ TEST(SnapshotCli, RejectsATuneAxisLongerThanTheCap)
 
 TEST(SnapshotCli, OlderFormatVersionFailsOnTheVersion)
 {
-    // A version-3 file (binary RunOptions in its "cli" section) is
-    // refused by its header before any section is parsed.
-    SnapshotWriter writer;
-    writer.beginSection("cli");
-    writer.str("bwaves");
-    writer.endSection();
-    std::vector<std::uint8_t> bytes = writer.finish(kHash);
-    ASSERT_EQ(bytes[8], kSnapshotFormatVersion);
-    bytes[8] = 3;
-    try {
-        SnapshotReader reader(bytes);
-        ADD_FAILURE() << "a version-3 snapshot was accepted";
-    } catch (const SnapshotError &e) {
-        EXPECT_NE(std::string(e.what()).find(
-                      "unsupported snapshot format version 3"),
-                  std::string::npos)
-            << e.what();
+    // A version-3 file (binary RunOptions in its "cli" section) and a
+    // version-4 file (separate "vm" and "os" sections) are refused by
+    // their header before any section is parsed.
+    for (const int version : {3, 4}) {
+        SnapshotWriter writer;
+        writer.beginSection("cli");
+        writer.str("bwaves");
+        writer.endSection();
+        std::vector<std::uint8_t> bytes = writer.finish(kHash);
+        ASSERT_EQ(bytes[8], kSnapshotFormatVersion);
+        bytes[8] = static_cast<std::uint8_t>(version);
+        const std::string expected =
+            "unsupported snapshot format version " +
+            std::to_string(version);
+        try {
+            SnapshotReader reader(bytes);
+            ADD_FAILURE() << "a version-" << version
+                          << " snapshot was accepted";
+        } catch (const SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find(expected),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -1,27 +1,33 @@
 /**
  * @file
- * Tests for the virtual-memory layer: frame-allocation policies and
- * their determinism, page-table first-touch behavior, TLB hit/miss/
- * eviction accounting, huge-page coalescing, and the two system-level
+ * Tests for the virtual-memory layer: the frame pool's unbounded
+ * placement policies and their determinism, the kernel's private
+ * per-thread tables and first-touch behavior, TLB hit/miss/eviction
+ * accounting, huge-page coalescing, and the two system-level
  * properties the subsystem exists for — VM off is bit-identical to
  * the untranslated simulator, and random 4 KB placement measurably
  * shortens the physical streams ASD observes.
  */
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/histogram.hpp"
 #include "core/asd_prefetcher.hpp"
+#include "os/frame_pool.hpp"
+#include "os/kernel.hpp"
+#include "os/mmu.hpp"
+#include "os/tlb.hpp"
 #include "sim/experiment.hpp"
+#include "sim/serialize.hpp"
 #include "sim/system.hpp"
+#include "snapshot/snapshot.hpp"
 #include "trace/synthetic.hpp"
-#include "vm/frame_allocator.hpp"
-#include "vm/mmu.hpp"
-#include "vm/page_table.hpp"
-#include "vm/tlb.hpp"
+#include "workloads/tenant_mix.hpp"
 
 namespace asd
 {
@@ -39,42 +45,53 @@ baseVm()
     return vm;
 }
 
-TEST(FrameAllocator, IdentityMapsPageToSameFrame)
+/** Claim a frame for @p vpn from an unbounded pool (never evicts). */
+std::uint64_t
+place(FramePool &pool, std::uint64_t vpn)
 {
-    FrameAllocator alloc(baseVm());
-    EXPECT_EQ(alloc.allocate(0, 0), 0u);
-    EXPECT_EQ(alloc.allocate(1234, 0), 1234u);
-    // Identity wraps at the physical frame count.
-    const std::uint64_t frames = baseVm().frames();
-    EXPECT_EQ(alloc.allocate(frames + 7, 0), 7u);
-    EXPECT_EQ(alloc.allocated(), 3u);
+    bool evicted = false;
+    OsVictim victim;
+    const std::uint64_t pfn = pool.acquire(0, vpn, false, evicted, victim);
+    EXPECT_FALSE(evicted);
+    return pfn;
 }
 
-TEST(FrameAllocator, SequentialBumpsFrames)
+TEST(FramePool, IdentityMapsPageToSameFrame)
+{
+    FramePool pool(baseVm());
+    EXPECT_EQ(place(pool, 0), 0u);
+    EXPECT_EQ(place(pool, 1234), 1234u);
+    // Identity wraps at the physical frame count.
+    const std::uint64_t frames = baseVm().frames();
+    EXPECT_EQ(place(pool, frames + 7), 7u);
+    EXPECT_EQ(pool.allocated(), 3u);
+}
+
+TEST(FramePool, SequentialBumpsFrames)
 {
     VmConfig vm = baseVm();
     vm.policy = FrameAllocPolicy::Sequential;
-    FrameAllocator alloc(vm);
-    EXPECT_EQ(alloc.allocate(900, 0), 0u);
-    EXPECT_EQ(alloc.allocate(17, 1), 1u);
-    EXPECT_EQ(alloc.allocate(900, 1), 2u);
+    FramePool pool(vm);
+    EXPECT_EQ(place(pool, 900), 0u);
+    EXPECT_EQ(place(pool, 17), 1u);
+    EXPECT_EQ(place(pool, 900), 2u);
 }
 
-TEST(FrameAllocator, RandomShuffleIsDeterministicForSeed)
+TEST(FramePool, RandomShuffleIsDeterministicForSeed)
 {
     VmConfig vm = baseVm();
     vm.policy = FrameAllocPolicy::RandomShuffle;
     vm.seed = 99;
-    FrameAllocator a(vm);
-    FrameAllocator b(vm);
+    FramePool a(vm);
+    FramePool b(vm);
     std::vector<std::uint64_t> first;
     bool any_different_seed_diff = false;
     vm.seed = 100;
-    FrameAllocator c(vm);
+    FramePool c(vm);
     for (std::uint64_t vpn = 0; vpn < 2000; ++vpn) {
-        const std::uint64_t fa = a.allocate(vpn, 0);
-        EXPECT_EQ(fa, b.allocate(vpn, 0));
-        any_different_seed_diff |= fa != c.allocate(vpn, 0);
+        const std::uint64_t fa = place(a, vpn);
+        EXPECT_EQ(fa, place(b, vpn));
+        any_different_seed_diff |= fa != place(c, vpn);
         first.push_back(fa);
     }
     EXPECT_TRUE(any_different_seed_diff);
@@ -84,43 +101,45 @@ TEST(FrameAllocator, RandomShuffleIsDeterministicForSeed)
               first.end());
 }
 
-TEST(FrameAllocator, ExhaustionIsFatal)
+TEST(FramePool, ExhaustionIsFatal)
 {
     VmConfig vm = baseVm();
     vm.policy = FrameAllocPolicy::Sequential;
     vm.phys_bytes = 4 * vm.page_bytes; // 4 frames
-    FrameAllocator alloc(vm);
+    FramePool pool(vm);
     for (std::uint64_t vpn = 0; vpn < 4; ++vpn)
-        alloc.allocate(vpn, 0);
-    EXPECT_EXIT(alloc.allocate(4, 0), testing::ExitedWithCode(1),
+        place(pool, vpn);
+    EXPECT_EXIT(place(pool, 4), testing::ExitedWithCode(1),
                 "out of physical frames");
 }
 
-TEST(PageTable, FirstTouchAllocatesThenStable)
+TEST(OsKernel, UnboundedFirstTouchPlacesThenStable)
 {
     VmConfig vm = baseVm();
     vm.policy = FrameAllocPolicy::Sequential;
-    FrameAllocator alloc(vm);
-    PageTable table(alloc, 0);
-    const std::uint64_t f0 = table.translate(42);
-    const std::uint64_t f1 = table.translate(7);
+    OsKernel kernel(vm, 1);
+    const OsTouchResult first = kernel.touch(0, 42, false);
+    const std::uint64_t f0 = first.pfn;
+    const std::uint64_t f1 = kernel.touch(0, 7, false).pfn;
     EXPECT_NE(f0, f1);
+    // An unbounded pool never faults: a miss costs only the walk.
+    EXPECT_EQ(first.stall_cycles, vm.tlb.walk_cycles);
+    EXPECT_FALSE(first.minor_fault || first.major_fault);
     // Repeats hit the existing mapping: no new frames.
-    EXPECT_EQ(table.translate(42), f0);
-    EXPECT_EQ(table.translate(7), f1);
-    EXPECT_EQ(table.pagesMapped(), 2u);
-    EXPECT_EQ(alloc.allocated(), 2u);
+    EXPECT_EQ(kernel.touch(0, 42, false).pfn, f0);
+    EXPECT_EQ(kernel.touch(0, 7, false).pfn, f1);
+    EXPECT_EQ(kernel.pagesMapped(), 2u);
+    EXPECT_EQ(kernel.pool().allocated(), 2u);
 }
 
-TEST(PageTable, ThreadsGetPrivateMappings)
+TEST(OsKernel, UnboundedThreadsGetPrivateMappings)
 {
     VmConfig vm = baseVm();
     vm.policy = FrameAllocPolicy::Sequential;
-    FrameAllocator alloc(vm);
-    PageTable t0(alloc, 0);
-    PageTable t1(alloc, 1);
+    OsKernel kernel(vm, 2);
     // Same vpn, different address spaces -> different frames.
-    EXPECT_NE(t0.translate(5), t1.translate(5));
+    EXPECT_NE(kernel.touch(0, 5, false, 0).pfn,
+              kernel.touch(0, 5, false, 1).pfn);
 }
 
 TEST(Tlb, CountsHitsMissesAndEvictions)
@@ -157,22 +176,31 @@ TEST(Tlb, RejectsNonDividingWays)
                 "ways must divide");
 }
 
+/** A read of virtual byte address @p addr. */
+MemAccess
+readAt(Addr addr)
+{
+    MemAccess access;
+    access.addr = addr;
+    return access;
+}
+
 TEST(Mmu, ChargesWalkOnMissOnly)
 {
     VmConfig vm = baseVm();
     vm.tlb.walk_cycles = 25;
-    FrameAllocator alloc(vm);
-    Mmu mmu(vm, alloc, 0);
+    OsKernel kernel(vm, 1);
+    Mmu mmu(vm, kernel, 0);
 
     Cycles walk = 0;
-    const Addr paddr = mmu.translate(4096 + 123, walk);
+    const Addr paddr = mmu.translate(readAt(4096 + 123), walk);
     EXPECT_EQ(walk, 25u);
     EXPECT_EQ(paddr, 4096u + 123u); // identity keeps the address
 
     walk = 99;
-    EXPECT_EQ(mmu.translate(4096 + 200, walk), 4096u + 200u);
+    EXPECT_EQ(mmu.translate(readAt(4096 + 200), walk), 4096u + 200u);
     EXPECT_EQ(walk, 0u); // same page -> TLB hit
-    EXPECT_EQ(mmu.walkCycles(), 25u);
+    EXPECT_EQ(mmu.stallCycles(), 25u);
     EXPECT_EQ(mmu.tlb().hits(), 1u);
     EXPECT_EQ(mmu.tlb().misses(), 1u);
 }
@@ -184,28 +212,28 @@ TEST(Mmu, HugePagesCoalesceTranslations)
     VmConfig huge = baseVm();
     huge.policy = FrameAllocPolicy::HugePage;
 
-    FrameAllocator small_alloc(small);
-    FrameAllocator huge_alloc(huge);
-    Mmu small_mmu(small, small_alloc, 0);
-    Mmu huge_mmu(huge, huge_alloc, 0);
+    OsKernel small_kernel(small, 1);
+    OsKernel huge_kernel(huge, 1);
+    Mmu small_mmu(small, small_kernel, 0);
+    Mmu huge_mmu(huge, huge_kernel, 0);
 
     // Touch one 4 KB page in each of 64 consecutive 32 KB strides:
     // all inside a single 2 MB region.
     for (Addr addr = 0; addr < (2ULL << 20); addr += 32 * 1024) {
         Cycles walk = 0;
-        small_mmu.translate(addr, walk);
-        huge_mmu.translate(addr, walk);
+        small_mmu.translate(readAt(addr), walk);
+        huge_mmu.translate(readAt(addr), walk);
     }
-    EXPECT_EQ(huge_mmu.pageTable().pagesMapped(), 1u);
-    EXPECT_EQ(small_mmu.pageTable().pagesMapped(), 64u);
+    EXPECT_EQ(huge_kernel.pagesMapped(), 1u);
+    EXPECT_EQ(small_kernel.pagesMapped(), 64u);
     EXPECT_EQ(huge_mmu.tlb().misses(), 1u);
     EXPECT_EQ(small_mmu.tlb().misses(), 64u);
 
     // Contiguity inside the huge page is preserved even though the
     // huge frame itself is placed randomly.
     Cycles walk = 0;
-    const Addr base = huge_mmu.translate(0, walk);
-    EXPECT_EQ(huge_mmu.translate(4096, walk), base + 4096);
+    const Addr base = huge_mmu.translate(readAt(0), walk);
+    EXPECT_EQ(huge_mmu.translate(readAt(4096), walk), base + 4096);
 }
 
 /**
@@ -303,6 +331,62 @@ TEST(VmSystem, Random4kShortensPhysicalStreams)
     // little, so identity lands around ~9 rather than a full 16.
     EXPECT_GT(identity, 8.0);
     EXPECT_LT(shuffled, 0.75 * identity);
+}
+
+/** FNV-1a digest of @p metrics' JSON and every counter of @p system. */
+std::string
+registryDigest(const System &system, const RunMetrics &metrics)
+{
+    std::string text = toJson(metrics);
+    for (const auto &[name, value] : system.stats().dump())
+        text += '\n' + name + '=' + std::to_string(value);
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(text)));
+    return hex;
+}
+
+/**
+ * Every translation stat name and value, and the metrics JSON, match
+ * digests recorded with the simulator that kept the VM layer and the
+ * OS model apart: a two-thread seq VM machine (private per-thread
+ * tables, vm.t<k>.* and vm.frames_allocated) and an OS machine with
+ * four churning tenants over the hashed walker (os.t<k>.* and os.*).
+ */
+TEST(VmSystem, RegistryMatchesParent)
+{
+    constexpr std::uint64_t kAccesses = 20000;
+    {
+        RunOptions options;
+        options.vm = baseVm();
+        options.vm.policy = FrameAllocPolicy::Sequential;
+        SyntheticConfig a = findBenchmark("bwaves").trace;
+        a.total_accesses = kAccesses;
+        SyntheticConfig b = a;
+        b.seed = b.seed * 7919 + 17;
+        SyntheticTraceGenerator trace_a(a);
+        SyntheticTraceGenerator trace_b(b);
+        System system(makeSystemConfig(options), {&trace_a, &trace_b});
+        const RunMetrics metrics = system.run();
+        EXPECT_TRUE(system.stats().has("vm.t1.pages_mapped"));
+        EXPECT_EQ(registryDigest(system, metrics), "4c8773c094081c76");
+    }
+    {
+        RunOptions options;
+        options.os.enabled = true;
+        options.os.frames = 256;
+        options.vm.walker = PageWalkerKind::Hashed;
+        options.tenants.enabled = true;
+        options.tenants.slots = 4;
+        options.tenants.mean_lifetime = 8000;
+        SyntheticConfig trace = findBenchmark("tpcc").trace;
+        trace.total_accesses = kAccesses;
+        TenantMixSource mix(options.tenants, trace, kAccesses);
+        System system(makeSystemConfig(options), {&mix});
+        const RunMetrics metrics = system.run();
+        EXPECT_GT(metrics.os_reclaims, 0u);
+        EXPECT_EQ(registryDigest(system, metrics), "64ebb6dc0f2086d6");
+    }
 }
 
 } // namespace
