@@ -10,7 +10,8 @@
  *
  * Writes a JSON report (schema asd/bench/throughput/v1) to the path
  * given as argv[1], default ./BENCH_throughput.json — run it from the
- * repo root to refresh the checked-in copy.
+ * repo root to refresh the checked-in copy. Prints each cold run's
+ * main-loop iterations ("ticks") and ticks per simulated cycle.
  */
 
 #include <chrono>
@@ -26,6 +27,8 @@
 #include "runner/sweep_runner.hpp"
 #include "runner/warm_start.hpp"
 #include "sim/experiment.hpp"
+#include "sim/system.hpp"
+#include "trace/synthetic.hpp"
 #include "workloads/profiles.hpp"
 
 namespace
@@ -110,9 +113,20 @@ main(int argc, char **argv)
         options.warmup_cycles = warmupFor(bench, options);
         const JobSpec job = makeJob(bench, options);
 
+        // What runBenchmark does, keeping the System to read its
+        // tick count.
         auto start = std::chrono::steady_clock::now();
-        const RunMetrics cold = runBenchmark(bench, options);
+        SyntheticConfig trace_config = bench.trace;
+        trace_config.total_accesses = scaledAccesses(bench, options);
+        SyntheticTraceGenerator trace(trace_config);
+        System system(makeSystemConfig(options), {&trace});
+        const RunMetrics cold = system.run();
         cold_runs.push_back({bench.name, cold, elapsedMs(start), 0});
+        std::cout << bench.name << ": " << system.iterations()
+                  << " ticks, "
+                  << static_cast<double>(system.iterations()) /
+                         static_cast<double>(cold.cycles)
+                  << " ticks/cycle\n";
 
         // Warm: snapshot the warm-up once, then time only the
         // restore + remainder (what a sharing sweep pays per job).

@@ -58,7 +58,10 @@ struct CliArgs
 /**
  * Refuse a translation knob that would silently do nothing: the
  * --os-* knobs need --os, the placement knobs need --vm-policy, and
- * the granule and TLB knobs need one of the two.
+ * the granule and TLB knobs need one of the two. Inside an enabled
+ * layer, the seed drives only the random and huge placements, the
+ * walk latency only the radix walker and the probe cost only the
+ * hashed one.
  */
 void
 requireTranslationLayer(const std::vector<std::string> &given,
@@ -77,6 +80,17 @@ requireTranslationLayer(const std::vector<std::string> &given,
              startsWith(name, "--vm-tlb-")) &&
             !o.vm.enabled && !o.os.enabled)
             fatal(name + " has no effect without --vm-policy or --os");
+        if (name == "--vm-seed" &&
+            (o.vm.policy == FrameAllocPolicy::Identity ||
+             o.vm.policy == FrameAllocPolicy::Sequential))
+            fatal(name + " has no effect with --vm-policy " +
+                  toString(o.vm.policy));
+        const bool hashed =
+            o.os.enabled && o.vm.walker == PageWalkerKind::Hashed;
+        if (name == "--vm-walk-cycles" && hashed)
+            fatal(name + " has no effect with --os-walker hashed");
+        if (name == "--os-probe-cycles" && o.os.enabled && !hashed)
+            fatal(name + " has no effect with --os-walker radix");
     }
 }
 

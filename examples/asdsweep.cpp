@@ -13,6 +13,7 @@
  * variable, then to the hardware concurrency.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -107,7 +108,8 @@ parseArgs(int argc, char **argv)
              listOf(offOr(valueFor<FrameAllocPolicy>())),
              appendTo(cli.vm_policies)),
         flag("--vm-page-bytes",
-             "base page sizes (default 4096; ignored for off/huge)",
+             "base page sizes (default 4096; needs a base-page VM "
+             "policy)",
              listOf(uintIn<std::uint64_t>(128, 1ULL << 30)),
              appendTo(cli.vm_page_bytes)),
         flag("--os-frames",
@@ -116,8 +118,8 @@ parseArgs(int argc, char **argv)
              listOf(offOr(uintIn<std::uint64_t>(1, 1ULL << 32))),
              appendTo(cli.os_frames)),
         flag("--os-walkers",
-             "page-table walkers (default radix; expanded only for "
-             "OS-enabled points)",
+             "page-table walkers (default radix; needs an OS frame "
+             "count)",
              valueFor<std::vector<PageWalkerKind>>(),
              appendTo(cli.os_walkers)),
         flag("--tenants", "off or tenant-mix slot counts (default off)",
@@ -162,6 +164,31 @@ parseArgs(int argc, char **argv)
         flag("--quiet", "no progress line", cli.quiet),
     };
     parseFlags(argc, argv, "usage: asdsweep [options]", flags);
+    // Refuse a translation axis no grid point would use. VM and OS
+    // points exclude each other, so a VM point needs an "off" OS
+    // frame count and an OS point an "off" VM policy.
+    const auto hasOff = [](const auto &axis) {
+        return axis.empty() ||
+               std::find(axis.begin(), axis.end(), std::nullopt) !=
+                   axis.end();
+    };
+    const bool base_page_vm_point =
+        hasOff(cli.os_frames) &&
+        std::any_of(cli.vm_policies.begin(), cli.vm_policies.end(),
+                    [](const auto &policy) {
+                        return policy &&
+                               *policy != FrameAllocPolicy::HugePage;
+                    });
+    if (!cli.vm_page_bytes.empty() && !base_page_vm_point)
+        fatal("--vm-page-bytes has no effect: no grid point enables a "
+              "base-page --vm-policies placement");
+    const bool os_point =
+        hasOff(cli.vm_policies) &&
+        std::any_of(cli.os_frames.begin(), cli.os_frames.end(),
+                    [](const auto &frames) { return frames.has_value(); });
+    if (!cli.os_walkers.empty() && !os_point)
+        fatal("--os-walkers has no effect: no grid point enables "
+              "--os-frames");
     if (cli.modes.empty())
         cli.modes = {PrefetchMode::NP, PrefetchMode::PS,
                      PrefetchMode::MS, PrefetchMode::PMS};

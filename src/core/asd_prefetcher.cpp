@@ -1,5 +1,7 @@
 #include "core/asd_prefetcher.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace asd
@@ -218,6 +220,15 @@ AsdPrefetcher::tick(Cycle now)
     for (auto &thread : threads_)
         for (const DeadStream &dead : thread->filter.expireLifetimes(now))
             streamDied(*thread, dead);
+}
+
+Cycle
+AsdPrefetcher::nextEventAt(Cycle now) const
+{
+    Cycle soonest = kNoCycle;
+    for (const auto &thread : threads_)
+        soonest = std::min(soonest, thread->filter.nextExpiry());
+    return std::max(now + 1, soonest);
 }
 
 void

@@ -56,6 +56,7 @@ class AsdPrefetcher : public MemSidePrefetcher
     int schedulingPolicy() const override;
     void notifyPrefetchConflict(Cycle now) override;
     void tick(Cycle now) override;
+    Cycle nextEventAt(Cycle now) const override;
     void saveState(SnapshotWriter &w) const override;
     void loadState(SnapshotReader &r) override;
 

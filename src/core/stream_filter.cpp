@@ -161,6 +161,16 @@ StreamFilter::expireLifetimes(Cycle now)
     return dead;
 }
 
+Cycle
+StreamFilter::nextExpiry() const
+{
+    Cycle soonest = kNoCycle;
+    for (const auto &slot : table_)
+        if (slot.valid)
+            soonest = std::min(soonest, slot.expires_at);
+    return soonest;
+}
+
 std::vector<DeadStream>
 StreamFilter::flushAll()
 {

@@ -92,6 +92,9 @@ class StreamFilter : public Snapshottable
     /** Evict every stream whose lifetime expired by @p now. */
     std::vector<DeadStream> expireLifetimes(Cycle now);
 
+    /** Earliest lifetime expiry of a live stream; kNoCycle if none. */
+    Cycle nextExpiry() const;
+
     /** Evict all streams (end of epoch). */
     std::vector<DeadStream> flushAll();
 

@@ -44,20 +44,34 @@ TraceCpu::observePs(LineAddr line, bool was_l1_miss)
         port_.psPrefetch(req.line, thread_, req.to_l1);
 }
 
+Counter TraceCpu::*
+TraceCpu::stallCounter() const
+{
+    const Pending &p = pending_;
+    if (p.access.dependent &&
+        (mem_loads_.inUse() > 0 || !timed_loads_.empty())) {
+        return &TraceCpu::dep_stall_cycles_;
+    }
+    if (!p.looked_up)
+        return nullptr; // the hierarchy lookup itself is progress
+    if (p.access.op == MemOp::Write) {
+        return store_rfos_.full() ? &TraceCpu::store_stall_cycles_
+                                  : nullptr;
+    }
+    // Hit or miss, a load occupies an outstanding-load slot.
+    return timed_loads_.size() + mem_loads_.inUse() >= config_.mlp
+               ? &TraceCpu::load_stall_cycles_
+               : nullptr;
+}
+
 bool
 TraceCpu::tryIssue(Cycle now)
 {
     Pending &p = pending_;
-
-    if (p.access.dependent &&
-        (mem_loads_.inUse() > 0 || !timed_loads_.empty())) {
-        dep_stall_cycles_.inc();
-        return false;
-    }
-
     const bool is_store = p.access.op == MemOp::Write;
 
-    if (!p.looked_up) {
+    // A dependence stall holds even the lookup back.
+    if (!p.looked_up && !stallCounter()) {
         // Consult the hierarchy exactly once per access; retries only
         // re-attempt the slot allocation / memory-port call.
         const AccessResult result = hierarchy_.access(p.line, is_store);
@@ -78,13 +92,14 @@ TraceCpu::tryIssue(Cycle now)
         }
     }
 
+    if (Counter TraceCpu::*const stall = stallCounter()) {
+        (this->*stall).inc();
+        return false;
+    }
+
     if (!is_store && !p.needs_memory) {
         // Cache-hit load: occupies an outstanding-load slot until its
         // data returns from L1/L2/L3.
-        if (timed_loads_.size() + mem_loads_.inUse() >= config_.mlp) {
-            load_stall_cycles_.inc();
-            return false;
-        }
         timed_loads_.push_back(now + p.hit_latency);
         retired_.inc();
         p.valid = false;
@@ -94,10 +109,6 @@ TraceCpu::tryIssue(Cycle now)
     }
 
     if (is_store) {
-        if (store_rfos_.full()) {
-            store_stall_cycles_.inc();
-            return false;
-        }
         if (!store_rfos_.allocate(p.line)) {
             // New RFO: send it, or park it for retry if the memory
             // controller is full (the MSHR waits, not the core).
@@ -112,10 +123,6 @@ TraceCpu::tryIssue(Cycle now)
     }
 
     // Load that needs memory.
-    if (timed_loads_.size() + mem_loads_.inUse() >= config_.mlp) {
-        load_stall_cycles_.inc();
-        return false;
-    }
     if (!mem_loads_.allocate(p.line)) {
         if (!port_.demandRead(p.line, thread_, false)) {
             mc_reject_cycles_.inc();
@@ -206,6 +213,49 @@ TraceCpu::finished() const
 }
 
 Cycles
+TraceCpu::nextChangeIn(Cycle now) const
+{
+    if (!pending_.valid || now < issue_ready_at_ || !retry_q_.empty())
+        return nextEventIn(now);
+    // A stalled access waits for a cache-hit load to complete or for
+    // a memory callback; an access that could issue does so next tick.
+    return stallCounter() ? untilTimedLoad(now) : 1;
+}
+
+Cycles
+TraceCpu::untilTimedLoad(Cycle now) const
+{
+    Cycle soonest = kNoCycle;
+    for (const Cycle done : timed_loads_)
+        soonest = std::min(soonest, done);
+    if (soonest == kNoCycle)
+        return kNoCycle;
+    return soonest > now ? soonest - now : 1;
+}
+
+void
+TraceCpu::skipQuietTicks(Cycle last)
+{
+    if (last_tick_ == kNoCycle || last <= last_tick_)
+        return;
+    completeTimedLoads(last);
+    if (pending_.valid) {
+        // Every tick at or past issue_ready_at_ retried and stalled.
+        const Cycle first = std::max(last_tick_ + 1, issue_ready_at_);
+        if (last >= first) {
+            Counter TraceCpu::*const stall = stallCounter();
+            panicIfNot(stall != nullptr,
+                       "TraceCpu: skipped a tick that could issue");
+            (this->*stall).inc(last - first + 1);
+        }
+    } else if (compute_left_ > 0) {
+        compute_left_ -= std::min<std::uint64_t>(
+            compute_left_, (last - last_tick_) * config_.ipc);
+    }
+    last_tick_ = last;
+}
+
+Cycles
 TraceCpu::nextEventIn(Cycle now) const
 {
     if (finished())
@@ -220,23 +270,13 @@ TraceCpu::nextEventIn(Cycle now) const
             if (timed_loads_.empty())
                 return kNoCycle; // only a callback can unblock us
         }
-        Cycle soonest = kNoCycle;
-        for (const Cycle done : timed_loads_)
-            soonest = std::min(soonest, done);
-        if (soonest == kNoCycle)
-            return 1;
-        return soonest > now ? soonest - now : 1;
+        const Cycles until = untilTimedLoad(now);
+        return until == kNoCycle ? 1 : until;
     }
     if (compute_left_ > 0)
         return (compute_left_ + config_.ipc - 1) / config_.ipc;
-    if (trace_done_) {
-        Cycle soonest = kNoCycle;
-        for (const Cycle done : timed_loads_)
-            soonest = std::min(soonest, done);
-        if (soonest == kNoCycle)
-            return kNoCycle;
-        return soonest > now ? soonest - now : 1;
-    }
+    if (trace_done_)
+        return untilTimedLoad(now);
     return 1;
 }
 

@@ -92,10 +92,29 @@ class TraceCpu : public Snapshottable
     bool finished() const;
 
     /**
-     * Cycles until this CPU next needs a tick (fast-forward hint);
-     * kNoCycle when blocked on a memory completion callback.
+     * Cycles until this CPU next needs a tick, the hint the System
+     * jumps by while the memory side is idle; kNoCycle when blocked on
+     * a memory completion callback. An access stalled on a slot that a
+     * callback has since freed still waits for its cache-hit loads
+     * here, so it can be later than nextChangeIn().
      */
     Cycles nextEventIn(Cycle now) const;
+
+    /**
+     * Cycles after @p now (the cycle just ticked) until the first tick
+     * that changes more than a stall counter and the last-tick cycle;
+     * kNoCycle when only a memory completion callback can unblock it.
+     * Valid until the next tick or callback.
+     */
+    Cycles nextChangeIn(Cycle now) const;
+
+    /**
+     * Apply the ticks at every cycle after the last tick up to and
+     * including @p last, which nextChangeIn() reported quiet: burn
+     * compute, retire cache-hit loads, charge the stall counter of a
+     * stalled access once per tick.
+     */
+    void skipQuietTicks(Cycle last);
 
     /** A demand load's memory data arrived. */
     void loadDone(LineAddr line, Cycle now);
@@ -131,6 +150,16 @@ class TraceCpu : public Snapshottable
     };
 
     void completeTimedLoads(Cycle now);
+
+    /**
+     * The stall counter a tick would charge for the pending access, or
+     * nullptr when the access can make progress.
+     */
+    Counter TraceCpu::*stallCounter() const;
+
+    /** Cycles until the first cache-hit load completes; kNoCycle if none. */
+    Cycles untilTimedLoad(Cycle now) const;
+
     bool tryIssue(Cycle now);
     void observePs(LineAddr line, bool was_l1_miss);
 

@@ -81,15 +81,15 @@ Dram::decode(LineAddr line) const
     panic("unknown address map");
 }
 
-bool
-Dram::canIssue(LineAddr line, Cycle now) const
+Cycle
+Dram::issuableAt(const DramCoord &coord) const
 {
-    const DramCoord coord = decode(line);
-    const std::size_t refresh_unit =
-        coord.channel * config_.ranks + coord.rank;
-    if (config_.refresh_enabled && rank_blocked_to_[refresh_unit] > now)
-        return false;
-    return banks_[coord.bank].ready_at <= now;
+    const Cycle bank_ready = banks_[coord.bank].ready_at;
+    if (!config_.refresh_enabled)
+        return bank_ready;
+    return std::max(bank_ready,
+                    rank_blocked_to_[coord.channel * config_.ranks +
+                                     coord.rank]);
 }
 
 bool
@@ -101,25 +101,17 @@ Dram::bankConflict(LineAddr a, LineAddr b) const
 }
 
 BankOccupant
-Dram::occupant(LineAddr line, Cycle now) const
+Dram::occupant(const DramCoord &coord, Cycle now) const
 {
-    const DramCoord coord = decode(line);
     const Bank &bank = banks_[coord.bank];
     if (bank.ready_at <= now)
         return BankOccupant::None;
     return bank.occupant;
 }
 
-Cycle
-Dram::bankReadyAt(LineAddr line) const
-{
-    return banks_[decode(line).bank].ready_at;
-}
-
 bool
-Dram::rowOpen(LineAddr line) const
+Dram::rowOpen(const DramCoord &coord) const
 {
-    const DramCoord coord = decode(line);
     const Bank &bank = banks_[coord.bank];
     return bank.open && bank.open_row == coord.row;
 }
@@ -145,9 +137,9 @@ Dram::applyRefresh(std::uint32_t refresh_unit, Cycle start)
 }
 
 Cycle
-Dram::issue(LineAddr line, bool is_write, bool is_prefetch, Cycle now)
+Dram::issue(const DramCoord &coord, bool is_write, bool is_prefetch,
+            Cycle now)
 {
-    const DramCoord coord = decode(line);
     Bank &bank = banks_[coord.bank];
 
     Cycle start = std::max(now, bank.ready_at);

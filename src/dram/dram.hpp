@@ -53,31 +53,73 @@ class Dram : public Snapshottable
      * (no wait beyond bus arbitration). This is the "issuable"
      * predicate used by the reorder-queue schedulers.
      */
-    bool canIssue(LineAddr line, Cycle now) const;
+    bool
+    canIssue(const DramCoord &coord, Cycle now) const
+    {
+        return issuableAt(coord) <= now;
+    }
+
+    /**
+     * First cycle at which canIssue(@p coord) holds: the bank is ready
+     * and its rank is outside a refresh window. Only issue() moves it.
+     */
+    Cycle issuableAt(const DramCoord &coord) const;
 
     /** True when the two lines target the same bank but another row. */
     bool bankConflict(LineAddr a, LineAddr b) const;
 
     /**
-     * Occupant of the line's bank at @p now; BankOccupant::None when
-     * the bank is idle.
+     * Occupant of the bank at @p now; BankOccupant::None when the bank
+     * is idle.
      */
-    BankOccupant occupant(LineAddr line, Cycle now) const;
+    BankOccupant occupant(const DramCoord &coord, Cycle now) const;
 
     /**
-     * Issue a read or write burst for @p line.
+     * Issue a read or write burst to @p coord.
      * @param is_write write burst when true.
      * @param is_prefetch marks the bank occupant for conflict feedback.
      * @param now issue cycle (CPU cycles).
      * @return cycle at which the last data beat transfers.
      */
-    Cycle issue(LineAddr line, bool is_write, bool is_prefetch, Cycle now);
+    Cycle issue(const DramCoord &coord, bool is_write, bool is_prefetch,
+                Cycle now);
 
-    /** Earliest cycle the line's bank becomes ready. */
-    Cycle bankReadyAt(LineAddr line) const;
+    /** Earliest cycle the bank becomes ready. */
+    Cycle
+    bankReadyAt(const DramCoord &coord) const
+    {
+        return banks_[coord.bank].ready_at;
+    }
 
-    /** True when the line's row is open in its bank (a row hit). */
-    bool rowOpen(LineAddr line) const;
+    /** True when the row of @p coord is open in its bank (a row hit). */
+    bool rowOpen(const DramCoord &coord) const;
+
+    // The same queries for a caller holding a line address.
+    bool
+    canIssue(LineAddr line, Cycle now) const
+    {
+        return canIssue(decode(line), now);
+    }
+    BankOccupant
+    occupant(LineAddr line, Cycle now) const
+    {
+        return occupant(decode(line), now);
+    }
+    Cycle
+    issue(LineAddr line, bool is_write, bool is_prefetch, Cycle now)
+    {
+        return issue(decode(line), is_write, is_prefetch, now);
+    }
+    Cycle
+    bankReadyAt(LineAddr line) const
+    {
+        return bankReadyAt(decode(line));
+    }
+    bool
+    rowOpen(LineAddr line) const
+    {
+        return rowOpen(decode(line));
+    }
 
     /** Register counters under "dram." in @p registry. */
     void registerStats(StatRegistry &registry) const;

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "common/types.hpp"
+#include "dram/dram.hpp"
 
 namespace asd
 {
@@ -18,6 +19,13 @@ namespace asd
 struct McCommand
 {
     LineAddr line = 0;
+
+    /**
+     * DRAM coordinates of @p line, decoded once when the command
+     * enters the controller. Derived state: snapshots store the line
+     * and recompute these on load.
+     */
+    DramCoord coord;
 
     /** Identifier the owner uses to match read completions. */
     std::uint64_t id = 0;

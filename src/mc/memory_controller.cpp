@@ -99,6 +99,7 @@ MemoryController::pushPrefetches(const std::vector<LineAddr> &lines,
         }
         McCommand cmd;
         cmd.line = line;
+        cmd.coord = dram_.decode(line);
         cmd.id = next_prefetch_id_++;
         cmd.enqueued_at = now;
         cmd.is_prefetch = true;
@@ -121,14 +122,15 @@ MemoryController::enqueueRead(LineAddr line, std::uint64_t id,
     // A demand read matching an in-flight prefetch rides that
     // prefetch's completion instead of re-fetching the line (MSHR-
     // style merge); it needs no reorder-queue slot either.
-    McCommand merged_cmd;
-    merged_cmd.line = line;
-    merged_cmd.id = id;
-    merged_cmd.thread = thread;
-    merged_cmd.enqueued_at = now;
+    McCommand cmd;
+    cmd.line = line;
+    cmd.coord = dram_.decode(line);
+    cmd.id = id;
+    cmd.thread = thread;
+    cmd.enqueued_at = now;
     const bool merged = !buffer_hit && prefetcher &&
                         config_.merge_inflight_prefetch &&
-                        mergeWithPrefetch(merged_cmd);
+                        mergeWithPrefetch(cmd);
 
     if (!buffer_hit && !merged && !canAcceptRead())
         return false;
@@ -145,7 +147,7 @@ MemoryController::enqueueRead(LineAddr line, std::uint64_t id,
         buffer_hits_entry_.inc();
         InFlight flight;
         flight.done = now + config_.buffer_hit_latency;
-        flight.cmd = merged_cmd;
+        flight.cmd = cmd;
         flight.touches_dram = false;
         in_flight_.push_back(flight);
         pushPrefetches(candidates, now);
@@ -163,11 +165,6 @@ MemoryController::enqueueRead(LineAddr line, std::uint64_t id,
     if (prefetcher && config_.cancel_lpq_on_demand)
         cancelLpqEntry(line);
 
-    McCommand cmd;
-    cmd.line = line;
-    cmd.id = id;
-    cmd.thread = thread;
-    cmd.enqueued_at = now;
     read_q_.push_back(cmd);
     read_q_hwm_ = std::max(read_q_hwm_, read_q_.size());
     pushPrefetches(candidates, now);
@@ -185,6 +182,7 @@ MemoryController::enqueueWrite(LineAddr line, Cycle now)
         prefetcher->observeWrite(line, now);
     McCommand cmd;
     cmd.line = line;
+    cmd.coord = dram_.decode(line);
     cmd.is_write = true;
     cmd.enqueued_at = now;
     write_q_.push_back(cmd);
@@ -204,10 +202,10 @@ MemoryController::policyAllowsLpq(int policy, Cycle now) const
         if (!caq_.empty())
             return false;
         for (const auto &cmd : read_q_)
-            if (dram_.canIssue(cmd.line, now))
+            if (dram_.canIssue(cmd.coord, now))
                 return false;
         for (const auto &cmd : write_q_)
-            if (dram_.canIssue(cmd.line, now))
+            if (dram_.canIssue(cmd.coord, now))
                 return false;
         return true;
       }
@@ -228,11 +226,7 @@ MemoryController::moveToCaq(Cycle now)
 {
     if (caq_.size() >= config_.caq)
         return;
-    // Write-drain hysteresis.
-    if (write_q_.size() >= config_.write_drain_high)
-        draining_writes_ = true;
-    else if (write_q_.size() <= config_.write_drain_low)
-        draining_writes_ = false;
+    draining_writes_ = drainsWrites();
     const auto pick = scheduler_->pick(read_q_, write_q_, dram_, now,
                                        draining_writes_);
     // A not-ready pick is only the scheduler's preference (its bank
@@ -255,11 +249,11 @@ MemoryController::issueToDram(Cycle now)
     MemSidePrefetcher *const prefetcher = activePrefetcher();
     const int policy = prefetcher ? prefetcher->schedulingPolicy() : 0;
     if (prefetcher && policyAllowsLpq(policy, now) &&
-        dram_.canIssue(lpq_.front().line, now)) {
+        dram_.canIssue(lpq_.front().coord, now)) {
         McCommand cmd = lpq_.front();
         lpq_.pop_front();
         const Cycle done = dram_.issue(
-            cmd.line, false, true, now + config_.command_overhead);
+            cmd.coord, false, true, now + config_.command_overhead);
         prefetches_issued_.inc();
         InFlight flight;
         flight.done = done;
@@ -286,10 +280,10 @@ MemoryController::issueToDram(Cycle now)
         return;
     }
 
-    if (!dram_.canIssue(head.line, now)) {
+    if (!dram_.canIssue(head.coord, now)) {
         // Adaptive Scheduling feedback: regular command blocked by a
         // bank still busy with a previously issued prefetch.
-        if (dram_.occupant(head.line, now) == BankOccupant::Prefetch) {
+        if (dram_.occupant(head.coord, now) == BankOccupant::Prefetch) {
             prefetch_conflict_events_.inc();
             if (!head.delayed_by_prefetch) {
                 head.delayed_by_prefetch = true;
@@ -303,9 +297,9 @@ MemoryController::issueToDram(Cycle now)
 
     McCommand cmd = head;
     caq_.pop_front();
-    const Cycle done = dram_.issue(cmd.line, cmd.is_write, false,
+    const Cycle done = dram_.issue(cmd.coord, cmd.is_write, false,
                                    now + config_.command_overhead);
-    scheduler_->notifyIssued(cmd, dram_);
+    scheduler_->notifyIssued(cmd);
     if (cmd.is_write)
         ++writes_issued_;
     if (!cmd.is_write) {
@@ -361,6 +355,78 @@ MemoryController::tick(Cycle now)
     issueToDram(now);
     if (checksEnabled())
         checkInvariants();
+}
+
+bool
+MemoryController::drainsWrites() const
+{
+    if (write_q_.size() >= config_.write_drain_high)
+        return true;
+    if (write_q_.size() <= config_.write_drain_low)
+        return false;
+    return draining_writes_;
+}
+
+Cycle
+MemoryController::nextEventAt(Cycle now) const
+{
+    const Cycle next = now + 1;
+    Cycle soonest = kNoCycle;
+    for (const InFlight &flight : in_flight_)
+        soonest = std::min(soonest, flight.done);
+
+    // moveToCaq: the write-drain hysteresis, then the scheduler's pick.
+    if (caq_.size() < config_.caq) {
+        if (drainsWrites() != draining_writes_)
+            return next;
+        if (!read_q_.empty() || !write_q_.empty()) {
+            soonest = std::min(soonest, scheduler_->readyPickAt(
+                                            read_q_, write_q_, dram_,
+                                            next));
+        }
+    }
+
+    // issueToDram: an LPQ prefetch the policy lets through once its
+    // bank clears. Policy 2 also depends on the reorder queues'
+    // banks, but a queued command that turns issuable is a pick
+    // above, so evaluating the policy at `next` is enough.
+    MemSidePrefetcher *const prefetcher = activePrefetcher();
+    if (prefetcher &&
+        policyAllowsLpq(prefetcher->schedulingPolicy(), next)) {
+        soonest =
+            std::min(soonest, dram_.issuableAt(lpq_.front().coord));
+    }
+
+    // The CAQ head: a Prefetch Buffer hit, the first cycle a prefetch
+    // blocks it (which marks it delayed), or its bank clearing.
+    if (!caq_.empty()) {
+        const McCommand &head = caq_.front();
+        if (!head.is_write && prefetcher &&
+            prefetcher->bufferContains(head.line)) {
+            return next;
+        }
+        if (!head.delayed_by_prefetch &&
+            dram_.occupant(head.coord, next) == BankOccupant::Prefetch) {
+            return next;
+        }
+        soonest = std::min(soonest, dram_.issuableAt(head.coord));
+    }
+    return std::max(next, soonest);
+}
+
+void
+MemoryController::skipQuietCycles(Cycle first, Cycle last)
+{
+    // The one thing a quiet tick does: count each cycle the delayed
+    // CAQ head waits on a bank a prefetch still occupies.
+    if (caq_.empty() ||
+        dram_.occupant(caq_.front().coord, first) !=
+            BankOccupant::Prefetch) {
+        return;
+    }
+    const Cycle end =
+        std::min(last + 1, dram_.bankReadyAt(caq_.front().coord));
+    prefetch_conflict_events_.inc(end - first);
 }
 
 void
@@ -435,10 +501,11 @@ saveCommand(SnapshotWriter &w, const McCommand &cmd)
 }
 
 McCommand
-loadCommand(SnapshotReader &r)
+loadCommand(SnapshotReader &r, const Dram &dram)
 {
     McCommand cmd;
     cmd.line = r.u64();
+    cmd.coord = dram.decode(cmd.line);
     cmd.id = r.u64();
     cmd.thread = r.u32();
     cmd.enqueued_at = r.u64();
@@ -457,14 +524,15 @@ saveQueue(SnapshotWriter &w, const std::deque<McCommand> &queue)
 }
 
 void
-loadQueue(SnapshotReader &r, std::deque<McCommand> &queue,
-          std::size_t capacity, const char *what)
+loadQueue(SnapshotReader &r, const Dram &dram,
+          std::deque<McCommand> &queue, std::size_t capacity,
+          const char *what)
 {
     const std::uint64_t count = r.u64();
     SnapshotReader::check(count <= capacity, what);
     queue.clear();
     for (std::uint64_t i = 0; i < count; ++i)
-        queue.push_back(loadCommand(r));
+        queue.push_back(loadCommand(r, dram));
 }
 
 } // namespace
@@ -511,23 +579,25 @@ MemoryController::saveState(SnapshotWriter &w) const
 void
 MemoryController::loadState(SnapshotReader &r)
 {
-    loadQueue(r, read_q_, config_.read_queue,
+    loadQueue(r, dram_, read_q_, config_.read_queue,
               "read reorder queue above capacity in snapshot");
-    loadQueue(r, write_q_, config_.write_queue,
+    loadQueue(r, dram_, write_q_, config_.write_queue,
               "write reorder queue above capacity in snapshot");
-    loadQueue(r, caq_, config_.caq, "CAQ above capacity in snapshot");
-    loadQueue(r, lpq_, config_.lpq, "LPQ above capacity in snapshot");
+    loadQueue(r, dram_, caq_, config_.caq,
+              "CAQ above capacity in snapshot");
+    loadQueue(r, dram_, lpq_, config_.lpq,
+              "LPQ above capacity in snapshot");
     draining_writes_ = r.b();
     const std::uint64_t flights = r.u64();
     in_flight_.clear();
     for (std::uint64_t i = 0; i < flights; ++i) {
         InFlight flight;
         flight.done = r.u64();
-        flight.cmd = loadCommand(r);
+        flight.cmd = loadCommand(r, dram_);
         flight.touches_dram = r.b();
         const std::uint64_t waiters = r.u64();
         for (std::uint64_t j = 0; j < waiters; ++j)
-            flight.waiters.push_back(loadCommand(r));
+            flight.waiters.push_back(loadCommand(r, dram_));
         in_flight_.push_back(std::move(flight));
     }
     next_prefetch_id_ = r.u64();

@@ -134,13 +134,33 @@ class MemoryController : public Snapshottable
 
     /**
      * True when any tick could still make progress (includes pending
-     * LPQ prefetches); gates the System's fast-forward optimization.
+     * LPQ prefetches). While false the System jumps straight to the
+     * CPUs' next event.
      */
     bool
     hasWork() const
     {
         return !idle() || !lpq_.empty();
     }
+
+    /**
+     * Earliest cycle after @p now (the cycle just ticked) at which
+     * tick() can change any state: a completion, a pick into the CAQ,
+     * a write-drain switch, an LPQ or CAQ-head issue once its bank and
+     * refresh window clear, a Prefetch Buffer hit at the CAQ head, or
+     * the first cycle a prefetch blocks the head. Stream Filter
+     * expiry is the prefetcher's own event (MemSidePrefetcher::
+     * nextEventAt). Valid until the next tick or enqueue.
+     */
+    Cycle nextEventAt(Cycle now) const;
+
+    /**
+     * Account for ticks at cycles @p first..@p last that nextEventAt
+     * reported quiet. Such a tick changes one thing only:
+     * prefetch_conflict_events counts each cycle a prefetch's bank
+     * blocks the CAQ head.
+     */
+    void skipQuietCycles(Cycle first, Cycle last);
 
     /** Register counters under @p prefix. */
     void registerStats(StatRegistry &registry,
@@ -211,6 +231,9 @@ class MemoryController : public Snapshottable
          */
         std::vector<McCommand> waiters;
     };
+
+    /** The write-drain state moveToCaq sets for the current queue. */
+    bool drainsWrites() const;
 
     /** Evaluate the paper's LPQ policy @p policy at @p now. */
     bool policyAllowsLpq(int policy, Cycle now) const;

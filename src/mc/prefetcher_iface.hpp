@@ -69,6 +69,19 @@ class MemSidePrefetcher : public Snapshottable
 
     /** Per-CPU-cycle housekeeping (stream lifetimes, epochs). */
     virtual void tick(Cycle now) = 0;
+
+    /**
+     * Earliest cycle after @p now (the cycle just ticked) at which
+     * tick() can change state, such as a Stream Filter lifetime
+     * expiring; kNoCycle when no tick ever can. The default, the next
+     * cycle, is always safe: the System then ticks every cycle while
+     * the memory side is busy.
+     */
+    virtual Cycle
+    nextEventAt(Cycle now) const
+    {
+        return now + 1;
+    }
 };
 
 } // namespace asd

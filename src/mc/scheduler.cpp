@@ -1,5 +1,7 @@
 #include "mc/scheduler.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace asd
@@ -46,14 +48,14 @@ MemorylessScheduler::pick(const std::deque<McCommand> &reads,
     // Reads first normally; writes first while draining.
     if (drain_writes) {
         for (std::size_t i = 0; i < writes.size(); ++i)
-            if (dram.canIssue(writes[i].line, now))
+            if (dram.canIssue(writes[i].coord, now))
                 return SchedulerPick{true, i};
     }
     for (std::size_t i = 0; i < reads.size(); ++i)
-        if (dram.canIssue(reads[i].line, now))
+        if (dram.canIssue(reads[i].coord, now))
             return SchedulerPick{false, i};
     for (std::size_t i = 0; i < writes.size(); ++i)
-        if (dram.canIssue(writes[i].line, now))
+        if (dram.canIssue(writes[i].coord, now))
             return SchedulerPick{true, i};
 
     // Nothing issuable: report the oldest command as a preference but
@@ -62,6 +64,19 @@ MemorylessScheduler::pick(const std::deque<McCommand> &reads,
     if (fallback)
         fallback->ready = false;
     return fallback;
+}
+
+Cycle
+MemorylessScheduler::readyPickAt(const std::deque<McCommand> &reads,
+                                 const std::deque<McCommand> &writes,
+                                 const Dram &dram, Cycle from) const
+{
+    Cycle soonest = kNoCycle;
+    for (const McCommand &cmd : reads)
+        soonest = std::min(soonest, dram.issuableAt(cmd.coord));
+    for (const McCommand &cmd : writes)
+        soonest = std::min(soonest, dram.issuableAt(cmd.coord));
+    return std::max(from, soonest);
 }
 
 std::int64_t
@@ -74,14 +89,13 @@ AhbScheduler::cost(const McCommand &cmd, const Dram &dram, Cycle now,
     std::int64_t cost = 0;
 
     // Expected wait until the command's bank is free.
-    const Cycle ready = dram.bankReadyAt(cmd.line);
+    const Cycle ready = dram.bankReadyAt(cmd.coord);
     if (ready > now)
         cost += static_cast<std::int64_t>(ready - now);
 
     // Bank reuse against recent history causes row cycling; penalize.
-    const DramCoord coord = dram.decode(cmd.line);
     for (const auto &hist : history_)
-        if (hist.bank == coord.bank)
+        if (hist.bank == cmd.coord.bank)
             cost += 4 * 8;
 
     // Read/write bus turnaround.
@@ -127,9 +141,9 @@ AhbScheduler::pick(const std::deque<McCommand> &reads,
 }
 
 void
-AhbScheduler::notifyIssued(const McCommand &cmd, const Dram &dram)
+AhbScheduler::notifyIssued(const McCommand &cmd)
 {
-    history_.push_back({dram.decode(cmd.line).bank, cmd.is_write});
+    history_.push_back({cmd.coord.bank, cmd.is_write});
     if (history_.size() > kHistoryDepth)
         history_.pop_front();
 }
@@ -170,8 +184,8 @@ FrFcfsScheduler::pick(const std::deque<McCommand> &reads,
 
     auto consider = [&](const McCommand &cmd, bool from_write,
                         std::size_t index) {
-        const bool ready = dram.canIssue(cmd.line, now);
-        int cls = ready ? (dram.rowOpen(cmd.line) ? 4 : 2) : 0;
+        const bool ready = dram.canIssue(cmd.coord, now);
+        int cls = ready ? (dram.rowOpen(cmd.coord) ? 4 : 2) : 0;
         if (drain_writes && from_write)
             cls += 1;
         if (cls > best_class ||

@@ -70,12 +70,28 @@ class ReorderScheduler
          const std::deque<McCommand> &writes, const Dram &dram,
          Cycle now, bool drain_writes) = 0;
 
+    /**
+     * Earliest cycle >= @p from at which pick() returns a ready pick,
+     * for non-empty queues that do not change meanwhile. Every
+     * scheduler but Memoryless picks a ready command whenever a queue
+     * is non-empty, hence the default.
+     */
+    virtual Cycle
+    readyPickAt(const std::deque<McCommand> &reads,
+                const std::deque<McCommand> &writes, const Dram &dram,
+                Cycle from) const
+    {
+        (void)reads;
+        (void)writes;
+        (void)dram;
+        return from;
+    }
+
     /** Inform the scheduler that its last pick was forwarded. */
     virtual void
-    notifyIssued(const McCommand &cmd, const Dram &dram)
+    notifyIssued(const McCommand &cmd)
     {
         (void)cmd;
-        (void)dram;
     }
 
     /**
@@ -120,6 +136,11 @@ class MemorylessScheduler : public ReorderScheduler
     pick(const std::deque<McCommand> &reads,
          const std::deque<McCommand> &writes, const Dram &dram,
          Cycle now, bool drain_writes) override;
+
+    /** The first cycle any queued command's bank can accept it. */
+    Cycle readyPickAt(const std::deque<McCommand> &reads,
+                      const std::deque<McCommand> &writes,
+                      const Dram &dram, Cycle from) const override;
 };
 
 /**
@@ -139,7 +160,7 @@ class AhbScheduler : public ReorderScheduler
          const std::deque<McCommand> &writes, const Dram &dram,
          Cycle now, bool drain_writes) override;
 
-    void notifyIssued(const McCommand &cmd, const Dram &dram) override;
+    void notifyIssued(const McCommand &cmd) override;
 
     void saveState(SnapshotWriter &w) const override;
     void loadState(SnapshotReader &r) override;

@@ -1,5 +1,7 @@
 #include "prefetch/mc_baselines.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace asd
@@ -57,6 +59,13 @@ BufferedMcPrefetcher::tick(Cycle now)
     (void)now; // the shared plumbing has no per-cycle state
 }
 
+Cycle
+BufferedMcPrefetcher::nextEventAt(Cycle now) const
+{
+    (void)now;
+    return kNoCycle;
+}
+
 void
 BufferedMcPrefetcher::countReadForEpoch()
 {
@@ -112,6 +121,15 @@ P5StyleMcPrefetcher::tick(Cycle now)
 {
     for (auto &filter : filters_)
         filter.expireLifetimes(now);
+}
+
+Cycle
+P5StyleMcPrefetcher::nextEventAt(Cycle now) const
+{
+    Cycle soonest = kNoCycle;
+    for (const StreamFilter &filter : filters_)
+        soonest = std::min(soonest, filter.nextExpiry());
+    return std::max(now + 1, soonest);
 }
 
 void

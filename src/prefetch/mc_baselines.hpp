@@ -39,6 +39,7 @@ class BufferedMcPrefetcher : public MemSidePrefetcher
     int schedulingPolicy() const override;
     void notifyPrefetchConflict(Cycle now) override;
     void tick(Cycle now) override;
+    Cycle nextEventAt(Cycle now) const override;
 
     /**
      * Checkpoint the shared plumbing (buffer, adaptive scheduler,
@@ -91,6 +92,7 @@ class P5StyleMcPrefetcher : public BufferedMcPrefetcher
                                       Cycle now) override;
 
     void tick(Cycle now) override;
+    Cycle nextEventAt(Cycle now) const override;
 
     void saveState(SnapshotWriter &w) const override;
     void loadState(SnapshotReader &r) override;

@@ -1,5 +1,6 @@
 #include "prefetch/perceptron_prefetcher.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hpp"
@@ -206,6 +207,15 @@ PerceptronMcPrefetcher::tick(Cycle now)
 {
     for (StreamFilter &filter : filters_)
         filter.expireLifetimes(now);
+}
+
+Cycle
+PerceptronMcPrefetcher::nextEventAt(Cycle now) const
+{
+    Cycle soonest = kNoCycle;
+    for (const StreamFilter &filter : filters_)
+        soonest = std::min(soonest, filter.nextExpiry());
+    return std::max(now + 1, soonest);
 }
 
 std::int32_t

@@ -75,6 +75,7 @@ class PerceptronMcPrefetcher : public BufferedMcPrefetcher
     bool lookupBuffer(LineAddr line) override;
 
     void tick(Cycle now) override;
+    Cycle nextEventAt(Cycle now) const override;
 
     void saveState(SnapshotWriter &w) const override;
     void loadState(SnapshotReader &r) override;

@@ -285,26 +285,58 @@ System::everythingDone() const
                        [](const auto &cpu) { return cpu->finished(); });
 }
 
-Cycles
-System::fastForwardable() const
+void
+System::advance(Cycle target, bool epoch_ended)
 {
-    if (!config_.fast_forward)
-        return 0;
-    // Safe to skip cycles only when the memory side is quiescent.
-    if (mc_.hasWork() || !pending_writebacks_.empty())
-        return 0;
-    Cycles skip = kNoCycle;
-    for (const auto &cpu : cpus_) {
-        if (cpu->finished())
-            continue;
-        const Cycles next = cpu->nextEventIn(now_);
-        if (next == kNoCycle)
-            return 0; // a CPU waits on a callback that cannot come
-        skip = std::min(skip, next);
+    const Cycle next = now_ + 1;
+    if (!pending_writebacks_.empty() || everythingDone()) {
+        now_ = next; // retry the full write queue, or stop
+        return;
     }
-    if (skip == kNoCycle || skip <= 1)
-        return 0;
-    return skip - 1;
+
+    if (!mc_.hasWork()) {
+        // Idle memory side: jump to the CPUs' next event. The memory
+        // side does not tick meanwhile, so a Stream Filter lifetime
+        // that runs out in the gap expires at that tick.
+        Cycles skip = kNoCycle;
+        for (const auto &cpu : cpus_) {
+            if (cpu->finished())
+                continue;
+            const Cycles in = cpu->nextEventIn(now_);
+            if (in == kNoCycle) {
+                now_ = next; // a CPU waits on a callback that cannot come
+                return;
+            }
+            skip = std::min(skip, in);
+        }
+        now_ = skip == kNoCycle ? next : now_ + skip;
+        return;
+    }
+
+    // Busy memory side: every cycle would be an iteration, so jump to
+    // the earliest one at which any component can change state and
+    // account for the quiet ticks in between.
+    if (epoch_ended) {
+        now_ = next; // the loop hook may apply a tuner decision there
+        return;
+    }
+    Cycle event = std::min({target, config_.max_cycles,
+                            mc_.nextEventAt(now_)});
+    for (const auto &cpu : cpus_) {
+        const Cycles in = cpu->nextChangeIn(now_);
+        if (in != kNoCycle)
+            event = std::min(event, now_ + in);
+    }
+    if (!mc_.prefetcherArmed())
+        event = std::min(event, config_.warmup_cycles);
+    else if (const MemSidePrefetcher *ms = msPrefetcher())
+        event = std::min(event, ms->nextEventAt(now_));
+    if (event > next) {
+        for (auto &cpu : cpus_)
+            cpu->skipQuietTicks(event - 1);
+        mc_.skipQuietCycles(next, event - 1);
+    }
+    now_ = event;
 }
 
 void
@@ -353,13 +385,14 @@ System::runUntil(Cycle target)
             armPrefetcher();
         if (now_ >= config_.max_cycles)
             fatal("System: max_cycles exceeded; simulation wedged?");
+        const std::uint64_t epochs = asd_ ? asd_->epochsCompleted() : 0;
         for (auto &cpu : cpus_)
             cpu->tick(now_);
         drainWritebacks();
         mc_.tick(now_);
         drainWritebacks();
-        const Cycles skip = fastForwardable();
-        now_ += 1 + skip;
+        ++iterations_;
+        advance(target, asd_ && asd_->epochsCompleted() != epochs);
     }
 }
 

@@ -143,6 +143,13 @@ class System : public MemPort
 
     Cycle nowCycle() const { return now_; }
 
+    /**
+     * runUntil loop iterations this object has run (each ticks every
+     * component once). Host-side observability only: not a statistic,
+     * not restored from snapshots.
+     */
+    std::uint64_t iterations() const { return iterations_; }
+
     // Tuner hooks ---------------------------------------------------
     /**
      * Install a callback fired at every ASD epoch boundary, AFTER the
@@ -155,7 +162,9 @@ class System : public MemPort
 
     /**
      * Install a callback fired once per runUntil loop iteration, after
-     * the target-break check and before the machine ticks. Placing it
+     * the target-break check and before the machine ticks. Iterations
+     * run only at cycles where something can happen (see advance()),
+     * and always at the cycle after an ASD epoch end. Placing it
      * after the break means a run split at cycle T and resumed
      * services a pending callback at the identical iteration an
      * uninterrupted run would — the tuner's reconfiguration point
@@ -167,7 +176,17 @@ class System : public MemPort
     void onReadDone(std::uint64_t id, Cycle done);
     void drainWritebacks();
     bool everythingDone() const;
-    Cycles fastForwardable() const;
+
+    /**
+     * Move now_ to the next loop iteration after the one at now_.
+     * While the memory side is idle that is the CPUs' next event;
+     * while it is busy, the earliest cycle at which a CPU, the
+     * controller, the prefetcher's Stream Filter, the warm-up
+     * boundary, @p target or max_cycles can change anything, or the
+     * next cycle after an ASD epoch ended (@p epoch_ended) or while
+     * writebacks wait.
+     */
+    void advance(Cycle target, bool epoch_ended);
 
     /**
      * End of warm-up: let the controller see its prefetcher and
@@ -200,6 +219,8 @@ class System : public MemPort
 
     std::deque<LineAddr> pending_writebacks_;
     Cycle now_ = 0;
+    // asdlint:allow(snapshot-field-coverage): host-side iteration count of this object, not machine state
+    std::uint64_t iterations_ = 0;
 
     /**
      * Processor-side prefetch reads currently in flight, and demand

@@ -357,13 +357,15 @@ TEST(McPolicy, PrefetcherTickedEveryCycle)
 // ---- reorder-queue schedulers ----
 
 std::deque<McCommand>
-makeQueue(std::initializer_list<std::pair<LineAddr, Cycle>> items,
+makeQueue(const Dram &dram,
+          std::initializer_list<std::pair<LineAddr, Cycle>> items,
           bool is_write = false)
 {
     std::deque<McCommand> queue;
     for (const auto &[line, at] : items) {
         McCommand cmd;
         cmd.line = line;
+        cmd.coord = dram.decode(line);
         cmd.enqueued_at = at;
         cmd.is_write = is_write;
         queue.push_back(cmd);
@@ -377,8 +379,8 @@ TEST(Scheduler, InOrderPicksOldestAcrossQueues)
     config.refresh_enabled = false;
     Dram dram(config);
     InOrderScheduler sched;
-    const auto reads = makeQueue({{0, 10}, {64, 11}});
-    const auto writes = makeQueue({{128, 5}}, true);
+    const auto reads = makeQueue(dram, {{0, 10}, {64, 11}});
+    const auto writes = makeQueue(dram, {{128, 5}}, true);
     const auto pick = sched.pick(reads, writes, dram, 20, false);
     ASSERT_TRUE(pick.has_value());
     EXPECT_TRUE(pick->from_write_queue);
@@ -402,7 +404,7 @@ TEST(Scheduler, MemorylessPrefersIssuableRead)
     // Make bank of line 0 busy.
     dram.issue(0, false, false, 0);
     MemorylessScheduler sched;
-    const auto reads = makeQueue({{1, 1}, {64, 2}});
+    const auto reads = makeQueue(dram, {{1, 1}, {64, 2}});
     const auto pick = sched.pick(reads, {}, dram, 1, false);
     ASSERT_TRUE(pick.has_value());
     EXPECT_FALSE(pick->from_write_queue);
@@ -417,7 +419,7 @@ TEST(Scheduler, MemorylessFallsBackToOldestTaggedNotReady)
     Dram dram(config);
     dram.issue(0, false, false, 0);
     MemorylessScheduler sched;
-    const auto reads = makeQueue({{1, 7}}); // only a busy-bank read
+    const auto reads = makeQueue(dram, {{1, 7}}); // only a busy-bank read
     const auto pick = sched.pick(reads, {}, dram, 1, false);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(pick->index, 0u);
@@ -454,9 +456,10 @@ TEST(Scheduler, AhbAvoidsRecentlyUsedBank)
     AhbScheduler sched;
     McCommand issued;
     issued.line = 0;
-    sched.notifyIssued(issued, dram);
+    issued.coord = dram.decode(0);
+    sched.notifyIssued(issued);
     // Candidate on bank of line 0 vs a fresh bank; both idle.
-    const auto reads = makeQueue({{1, 1}, {64, 2}});
+    const auto reads = makeQueue(dram, {{1, 1}, {64, 2}});
     const auto pick = sched.pick(reads, {}, dram, 100, false);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(pick->index, 1u);
@@ -471,8 +474,8 @@ TEST(Scheduler, AhbTieBreakPicksOlderRegardlessOfQueueOrder)
     // Two reads on distinct idle banks, no issue history: exactly
     // equal cost. With integer fixed-point cost the tie is exact and
     // the older command must win in either iteration order.
-    const auto old_first = makeQueue({{64, 5}, {128, 9}});
-    const auto young_first = makeQueue({{128, 9}, {64, 5}});
+    const auto old_first = makeQueue(dram, {{64, 5}, {128, 9}});
+    const auto young_first = makeQueue(dram, {{128, 9}, {64, 5}});
 
     auto pick = sched.pick(old_first, {}, dram, 100, false);
     ASSERT_TRUE(pick.has_value());
@@ -491,8 +494,8 @@ TEST(Scheduler, AhbTieBreakIsExactAcrossQueues)
     AhbScheduler sched;
     // While draining, a write carries no penalty; with no history the
     // costs tie exactly, so the older write beats the younger read.
-    const auto reads = makeQueue({{64, 9}});
-    const auto writes = makeQueue({{128, 5}}, true);
+    const auto reads = makeQueue(dram, {{64, 9}});
+    const auto writes = makeQueue(dram, {{128, 5}}, true);
     const auto pick = sched.pick(reads, writes, dram, 100, true);
     ASSERT_TRUE(pick.has_value());
     EXPECT_TRUE(pick->from_write_queue);
@@ -504,8 +507,8 @@ TEST(Scheduler, AhbPrefersReadsUnderLowWritePressure)
     config.refresh_enabled = false;
     Dram dram(config);
     AhbScheduler sched;
-    const auto reads = makeQueue({{64, 10}});
-    const auto writes = makeQueue({{128, 1}}, true);
+    const auto reads = makeQueue(dram, {{64, 10}});
+    const auto writes = makeQueue(dram, {{128, 1}}, true);
     const auto pick = sched.pick(reads, writes, dram, 20, false);
     ASSERT_TRUE(pick.has_value());
     EXPECT_FALSE(pick->from_write_queue);
@@ -520,7 +523,7 @@ TEST(Scheduler, FrFcfsPrefersReadyRowHit)
     const Cycle done = dram.issue(0, false, false, 0);
     FrFcfsScheduler sched;
     // Candidates: line 1 (row hit in bank 0), line 64 (closed bank).
-    const auto reads = makeQueue({{64, 1}, {1, 9}});
+    const auto reads = makeQueue(dram, {{64, 1}, {1, 9}});
     const auto pick = sched.pick(reads, {}, dram, done + 100, false);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(pick->index, 1u); // the younger row hit wins
@@ -533,7 +536,7 @@ TEST(Scheduler, FrFcfsFallsBackToOldestReady)
     Dram dram(config);
     FrFcfsScheduler sched;
     // No open rows anywhere: oldest ready command wins.
-    const auto reads = makeQueue({{64, 5}, {128, 2}});
+    const auto reads = makeQueue(dram, {{64, 5}, {128, 2}});
     const auto pick = sched.pick(reads, {}, dram, 10, false);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(pick->index, 1u); // enqueued_at 2 < 5
@@ -547,7 +550,7 @@ TEST(Scheduler, FrFcfsPicksOldestWhenNothingReady)
     dram.issue(0, false, false, 0);
     dram.issue(64, false, false, 0);
     FrFcfsScheduler sched;
-    const auto reads = makeQueue({{1, 8}, {65, 3}});
+    const auto reads = makeQueue(dram, {{1, 8}, {65, 3}});
     const auto pick = sched.pick(reads, {}, dram, 1, false);
     ASSERT_TRUE(pick.has_value());
     EXPECT_EQ(pick->index, 1u);

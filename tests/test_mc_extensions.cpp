@@ -122,10 +122,12 @@ TEST(McWriteDrain, DrainPrioritizesWritesOverYoungerReads)
     std::deque<McCommand> writes;
     McCommand read;
     read.line = 64;
+    read.coord = dram.decode(64);
     read.enqueued_at = 1;
     reads.push_back(read);
     McCommand write;
     write.line = 128;
+    write.coord = dram.decode(128);
     write.is_write = true;
     write.enqueued_at = 5;
     writes.push_back(write);
@@ -154,10 +156,12 @@ TEST(McWriteDrain, FrFcfsBoostsWritesWhileDraining)
     std::deque<McCommand> writes;
     McCommand read;
     read.line = 64;
+    read.coord = dram.decode(64);
     read.enqueued_at = 1;
     reads.push_back(read);
     McCommand write;
     write.line = 128;
+    write.coord = dram.decode(128);
     write.is_write = true;
     write.enqueued_at = 5;
     writes.push_back(write);
