@@ -53,6 +53,15 @@ std::uint64_t
 Rng::nextBelow(std::uint64_t bound)
 {
     panicIfNot(bound > 0, "Rng::nextBelow bound must be positive");
+    if ((bound & (bound - 1)) == 0) {
+        // The general path without its two divisions: for a power of
+        // two the limit below is 2^64 - bound and v % bound is a mask.
+        const std::uint64_t limit = 0 - bound;
+        std::uint64_t v = next();
+        while (v >= limit)
+            v = next();
+        return v & (bound - 1);
+    }
     // Rejection sampling over the largest multiple of bound.
     const std::uint64_t limit = ~std::uint64_t{0} - ~std::uint64_t{0} % bound;
     std::uint64_t v = next();

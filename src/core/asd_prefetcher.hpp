@@ -138,6 +138,8 @@ class AsdPrefetcher : public MemSidePrefetcher
      *    current policy as the walk position unless newly pinned.
      * LHT depth, lifetimes, ways and thread count are NOT tunable —
      * the likelihood tables and stream histogram are keyed on them.
+     * Inside a System, call System::applyTuning, which also makes the
+     * controller tick.
      */
     void applyTuning(const AsdTuning &tuning);
 

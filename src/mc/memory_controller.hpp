@@ -150,7 +150,9 @@ class MemoryController : public Snapshottable
      * refresh window clear, a Prefetch Buffer hit at the CAQ head, or
      * the first cycle a prefetch blocks the head. Stream Filter
      * expiry is the prefetcher's own event (MemSidePrefetcher::
-     * nextEventAt). Valid until the next tick or enqueue.
+     * nextEventAt). Valid until the next tick or enqueue; the System
+     * caches it (with its prefetcher's) until then and ticks the
+     * controller only once it is due.
      */
     Cycle nextEventAt(Cycle now) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/check.hpp"
 #include "common/log.hpp"
 
 namespace asd
@@ -191,7 +192,10 @@ System::demandRead(LineAddr line, std::uint32_t thread, bool is_rfo)
         ps_merged_demands_.inc();
         return true;
     }
-    return mc_.enqueueRead(line, id, thread, now_);
+    if (!mc_.enqueueRead(line, id, thread, now_))
+        return false;
+    memorySideChanged();
+    return true;
 }
 
 void
@@ -224,6 +228,7 @@ System::psPrefetch(LineAddr line, std::uint32_t thread, bool to_l1)
     const ReqKind kind = to_l1 ? ReqKind::PsL1 : ReqKind::PsL2;
     if (mc_.enqueueRead(line, encodeId(kind, thread, line), thread,
                         now_)) {
+        memorySideChanged();
         ps_prefetch_reads_.inc();
         ps_inflight_.insert(line);
     } else {
@@ -272,6 +277,7 @@ System::drainWritebacks()
     while (!pending_writebacks_.empty()) {
         if (!mc_.enqueueWrite(pending_writebacks_.front(), now_))
             break;
+        memorySideChanged();
         pending_writebacks_.pop_front();
     }
 }
@@ -288,6 +294,11 @@ System::everythingDone() const
 void
 System::advance(Cycle target, bool epoch_ended)
 {
+    // The memory side's due cycle holds until the controller ticks or
+    // something reaches it from outside.
+    if (ms_due_ <= now_)
+        ms_due_ = memorySideDue(now_);
+
     const Cycle next = now_ + 1;
     if (!pending_writebacks_.empty() || everythingDone()) {
         now_ = next; // retry the full write queue, or stop
@@ -320,8 +331,7 @@ System::advance(Cycle target, bool epoch_ended)
         now_ = next; // the loop hook may apply a tuner decision there
         return;
     }
-    Cycle event = std::min({target, config_.max_cycles,
-                            mc_.nextEventAt(now_)});
+    Cycle event = std::min({target, config_.max_cycles, ms_due_});
     for (const auto &cpu : cpus_) {
         const Cycles in = cpu->nextChangeIn(now_);
         if (in != kNoCycle)
@@ -329,14 +339,33 @@ System::advance(Cycle target, bool epoch_ended)
     }
     if (!mc_.prefetcherArmed())
         event = std::min(event, config_.warmup_cycles);
-    else if (const MemSidePrefetcher *ms = msPrefetcher())
-        event = std::min(event, ms->nextEventAt(now_));
     if (event > next) {
         for (auto &cpu : cpus_)
             cpu->skipQuietTicks(event - 1);
         mc_.skipQuietCycles(next, event - 1);
     }
     now_ = event;
+}
+
+Cycle
+System::memorySideDue(Cycle ticked) const
+{
+    Cycle due = mc_.nextEventAt(ticked);
+    if (mc_.prefetcherArmed()) {
+        // The System's own prefetcher, not whatever the controller has
+        // attached: a wrapper need not forward nextEventAt.
+        if (const MemSidePrefetcher *ms = msPrefetcher())
+            due = std::min(due, ms->nextEventAt(ticked));
+    }
+    return due;
+}
+
+void
+System::applyTuning(const AsdTuning &tuning)
+{
+    panicIfNot(asd_ != nullptr, "System::applyTuning needs ASD");
+    asd_->applyTuning(tuning);
+    memorySideChanged();
 }
 
 void
@@ -365,6 +394,7 @@ void
 System::armPrefetcher()
 {
     mc_.setPrefetcherArmed(true);
+    memorySideChanged();
     if (telemetry_)
         telemetry_->rebaseline(now_);
 }
@@ -389,9 +419,21 @@ System::runUntil(Cycle target)
         for (auto &cpu : cpus_)
             cpu->tick(now_);
         drainWritebacks();
-        mc_.tick(now_);
+        if (now_ >= ms_due_) {
+            mc_.tick(now_);
+            memorySideChanged();
+        } else {
+            // Nothing reached the memory side since its due cycle was
+            // computed, so this tick would be quiet: recomputed from
+            // the current state, it must not have moved earlier.
+            if (checksEnabled()) {
+                checkThat(memorySideDue(now_ - 1) >= ms_due_,
+                          "stale memory-side due cycle at " +
+                              std::to_string(now_));
+            }
+            mc_.skipQuietCycles(now_, now_);
+        }
         drainWritebacks();
-        ++iterations_;
         advance(target, asd_ && asd_->epochsCompleted() != epochs);
     }
 }
@@ -563,6 +605,7 @@ System::saveSnapshot(SnapshotWriter &w) const
 void
 System::loadSnapshot(SnapshotReader &r)
 {
+    memorySideChanged();
     r.openSection("sys");
     const bool armed = r.b();
     now_ = r.u64();

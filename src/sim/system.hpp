@@ -143,14 +143,14 @@ class System : public MemPort
 
     Cycle nowCycle() const { return now_; }
 
-    /**
-     * runUntil loop iterations this object has run (each ticks every
-     * component once). Host-side observability only: not a statistic,
-     * not restored from snapshots.
-     */
-    std::uint64_t iterations() const { return iterations_; }
-
     // Tuner hooks ---------------------------------------------------
+    /**
+     * Retune the live ASD prefetcher (AsdPrefetcher::applyTuning) and
+     * make the controller tick at the current iteration, since the new
+     * knobs can move its next event. Requires an ASD prefetcher.
+     */
+    void applyTuning(const AsdTuning &tuning);
+
     /**
      * Install a callback fired at every ASD epoch boundary, AFTER the
      * telemetry recorder (when present) has appended its record — so
@@ -197,6 +197,19 @@ class System : public MemPort
     /** The active memory-side prefetcher, whichever kind it is. */
     MemSidePrefetcher *msPrefetcher() const;
 
+    /**
+     * Earliest cycle after @p ticked at which the controller or the
+     * System's armed prefetcher can change state (their nextEventAt).
+     */
+    Cycle memorySideDue(Cycle ticked) const;
+
+    /**
+     * Something reached the controller or its prefetcher from outside
+     * a controller tick, or the controller ticked: the cached due
+     * cycle no longer holds.
+     */
+    void memorySideChanged() { ms_due_ = 0; }
+
     SystemConfig config_;
     Dram dram_;
     MemoryController mc_;
@@ -219,8 +232,14 @@ class System : public MemPort
 
     std::deque<LineAddr> pending_writebacks_;
     Cycle now_ = 0;
-    // asdlint:allow(snapshot-field-coverage): host-side iteration count of this object, not machine state
-    std::uint64_t iterations_ = 0;
+
+    /**
+     * The memory side's cached due cycle (memorySideDue); the
+     * controller ticks only at or after it. A value at or before
+     * now_ is spent: the controller ticks and advance() recomputes it.
+     */
+    // asdlint:allow(snapshot-field-coverage): host-side cache of memorySideDue, reset by loadSnapshot
+    Cycle ms_due_ = 0;
 
     /**
      * Processor-side prefetch reads currently in flight, and demand

@@ -31,6 +31,8 @@ SyntheticTraceGenerator::SyntheticTraceGenerator(SyntheticConfig config)
     ws_lines_ = config_.working_set_bytes / config_.line_bytes;
     if (ws_lines_ == 0)
         fatal("SyntheticTraceGenerator: working set smaller than a line");
+    const double gap_p = 1.0 / (1.0 + config_.mean_gap);
+    gap_log_q_ = std::log1p(-gap_p);
 
     phase_samplers_.reserve(config_.phases.size());
     for (const auto &phase : config_.phases)
@@ -112,8 +114,7 @@ SyntheticTraceGenerator::drawGap()
         return 0;
     // Geometric with the configured mean, sampled via inversion.
     const double u = rng_.nextDouble();
-    const double p = 1.0 / (1.0 + config_.mean_gap);
-    const double g = std::floor(std::log1p(-u) / std::log1p(-p));
+    const double g = std::floor(std::log1p(-u) / gap_log_q_);
     return static_cast<std::uint32_t>(g < 0.0 ? 0.0 : g);
 }
 

@@ -146,6 +146,9 @@ class SyntheticTraceGenerator : public TraceSource
     std::uint64_t emitted_ = 0;
     // asdlint:allow(snapshot-field-coverage): derived from config_ (working-set bytes / line bytes) in the constructor
     std::uint64_t ws_lines_ = 0;
+    /** log(1 - p) for drawGap's geometric draw, p = 1 / (1 + mean_gap). */
+    // asdlint:allow(snapshot-field-coverage): derived from config_ (mean_gap) in the constructor
+    double gap_log_q_ = 0.0;
 };
 
 } // namespace asd

@@ -119,7 +119,7 @@ ShadowTuner::evaluate(const System &live, const AsdTuning &current)
                 shadow.loadSnapshot(reader);
                 if (!shadow.asd())
                     throw SnapshotError("shadow has no ASD prefetcher");
-                shadow.asd()->applyTuning(verdict.tunings[i]);
+                shadow.applyTuning(verdict.tunings[i]);
                 shadow.runUntil(start + config_.shadow_horizon);
 
                 const RunMetrics metrics = shadow.collectMetrics();

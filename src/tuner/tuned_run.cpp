@@ -158,7 +158,7 @@ TunedRun::decide(Cycle now)
     d.accesses_at_decision = liveAccesses();
 
     if (d.adopted_change) {
-        system_->asd()->applyTuning(winner);
+        system_->applyTuning(winner);
         current_ = winner;
     }
     recorder_.append(d);

@@ -8,7 +8,7 @@
  *
  *     telemetry epoch -> PhaseDetector -> (phase change?)
  *         -> snapshot + ShadowTuner fork race -> adopt winner
- *         -> AsdPrefetcher::applyTuning on the live machine
+ *         -> System::applyTuning on the live machine
  *
  * Decisions are *detected* at epoch boundaries (inside the machine's
  * tick) but *applied* at the top of the next runUntil iteration via

@@ -68,6 +68,31 @@ TEST(Rng, NextBelowIsRoughlyUniform)
     }
 }
 
+TEST(Rng, PowerOfTwoBoundMatchesGenericPath)
+{
+    // The generic rejection formula, written out: a power-of-two bound
+    // must draw the same values from the same number of engine steps.
+    const auto generic = [](Rng &rng, std::uint64_t bound) {
+        const std::uint64_t max = ~std::uint64_t{0};
+        const std::uint64_t limit = max - max % bound;
+        std::uint64_t v = rng.next();
+        while (v >= limit)
+            v = rng.next();
+        return v % bound;
+    };
+    for (const std::uint64_t bound :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{128},
+          std::uint64_t{512}, std::uint64_t{1} << 32,
+          std::uint64_t{1} << 63}) {
+        Rng fast(bound * 31 + 5);
+        Rng slow(bound * 31 + 5);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(fast.nextBelow(bound), generic(slow, bound))
+                << "bound " << bound << " draw " << i;
+        EXPECT_EQ(fast.state(), slow.state()) << "bound " << bound;
+    }
+}
+
 TEST(Rng, NextInRangeInclusive)
 {
     Rng rng(3);

@@ -12,7 +12,9 @@
  * A soundness test checks the memory side's event sources directly:
  * a controller ticked every cycle changes nothing before the cycle
  * its nextEventAt (and its prefetcher's) reported, apart from what
- * skipQuietCycles charges in bulk.
+ * skipQuietCycles charges in bulk. Two more pin the System's cached
+ * due cycle for the memory side: how often the controller ticks, and
+ * that a tuning applied to the live machine reaches it at once.
  */
 
 #include <algorithm>
@@ -338,6 +340,121 @@ TEST(MainLoopGolden, TunedRun)
     EXPECT_EQ(digest(run.system(), result.metrics,
                      tunerJson(result.decisions)),
               "d2177dc76ac36c4d");
+}
+
+// --- memory-side dispatch ------------------------------------------
+
+/**
+ * Forwards every hook to @p inner and counts its ticks. Like
+ * perfbench's traced wrapper it keeps the default nextEventAt (the
+ * next cycle), so a due cycle read from the controller's attached
+ * prefetcher instead of the System's own would tick every iteration.
+ */
+class CountingPrefetcher : public MemSidePrefetcher
+{
+  public:
+    explicit CountingPrefetcher(MemSidePrefetcher &inner) : inner_(inner) {}
+
+    std::vector<LineAddr>
+    observeRead(LineAddr line, std::uint32_t thread, Cycle now) override
+    {
+        return inner_.observeRead(line, thread, now);
+    }
+    void
+    observeWrite(LineAddr line, Cycle now) override
+    {
+        inner_.observeWrite(line, now);
+    }
+    bool lookupBuffer(LineAddr line) override { return inner_.lookupBuffer(line); }
+    bool
+    bufferContains(LineAddr line) const override
+    {
+        return inner_.bufferContains(line);
+    }
+    void
+    fillBuffer(LineAddr line, Cycle now) override
+    {
+        inner_.fillBuffer(line, now);
+    }
+    int schedulingPolicy() const override { return inner_.schedulingPolicy(); }
+    void
+    notifyPrefetchConflict(Cycle now) override
+    {
+        inner_.notifyPrefetchConflict(now);
+    }
+    void
+    tick(Cycle now) override
+    {
+        ++ticks;
+        inner_.tick(now);
+    }
+    void saveState(SnapshotWriter &w) const override { inner_.saveState(w); }
+    void loadState(SnapshotReader &r) override { inner_.loadState(r); }
+
+    // asdlint:allow(snapshot-field-coverage): test probe counter, not machine state
+    std::uint64_t ticks = 0;
+
+  private:
+    MemSidePrefetcher &inner_;
+};
+
+/**
+ * The controller (and so its prefetcher) ticks only at its due cycle
+ * or after something reached it, yet the run is the golden one. The
+ * pinned counts guard two silent slowdowns: a due cycle that is never
+ * valid, and one taken from the attached wrapper.
+ */
+TEST(MainLoopEvents, MemorySideTicksOnlyWhenDue)
+{
+    SyntheticTraceGenerator trace(traceOf("tpcc", kAccesses));
+    System system(makeSystemConfig(RunOptions{}), {&trace});
+    CountingPrefetcher counting(*system.asd());
+    system.mc().attachPrefetcher(&counting);
+    std::uint64_t iterations = 0;
+    system.setLoopHook([&iterations](Cycle) { ++iterations; });
+    const RunMetrics metrics = system.run();
+    EXPECT_EQ(digest(system, metrics), "8220dd0a89ab9eb0");
+    EXPECT_EQ(iterations, 32585u);
+    EXPECT_EQ(counting.ticks, 14752u); // 45% of the iterations
+}
+
+/**
+ * A tuning applied to the live machine reaches the controller in the
+ * same iteration: the run equals one whose machine is saved and
+ * restored (which drops every cached due cycle) before each tuning.
+ * The tunings pin the LPQ policy to 1 and 5 in turn, so a controller
+ * tick skipped on a due cycle of the old policy changes the run.
+ */
+TEST(MainLoopEvents, LiveTuningMatchesRestoredTuning)
+{
+    const SystemConfig config = makeSystemConfig(RunOptions{});
+    const SyntheticConfig trace_config = traceOf("tpcc", kAccesses);
+    SyntheticTraceGenerator live_trace(trace_config);
+    SyntheticTraceGenerator restored_trace(trace_config);
+    System live(config, {&live_trace});
+    System restored(config, {&restored_trace});
+    AsdTuning tuning = tuningOf(config.asd);
+    tuning.sched.adaptive = false;
+    int points = 0;
+    for (Cycle at = 3000;; at += 3000, ++points) {
+        live.runUntil(at);
+        restored.runUntil(at);
+        if (live.nowCycle() < at)
+            break; // finished
+        tuning.sched.fixed_policy = points % 2 == 0 ? 5 : 1;
+        live.applyTuning(tuning);
+        SnapshotWriter w;
+        restored.saveSnapshot(w);
+        const std::vector<std::uint8_t> bytes = w.finish(0);
+        SnapshotReader r(bytes);
+        restored.loadSnapshot(r);
+        restored.applyTuning(tuning);
+    }
+    const RunMetrics live_metrics = live.run();
+    const RunMetrics restored_metrics = restored.run();
+    EXPECT_GT(points, 50);
+    EXPECT_EQ(digest(live, live_metrics),
+              digest(restored, restored_metrics));
 }
 
 // --- soundness of the memory-side event sources ---------------------

@@ -561,6 +561,27 @@ TEST(WarmStart, SweepMatchesColdStartBitForBit)
     EXPECT_EQ(warm_runner.lastSummary().warm_started, jobs.size());
 }
 
+/**
+ * Every detailed-study benchmark under PMS, with a warm-up of five
+ * cycles per access (about half the run): restoring the warm-up
+ * snapshot and finishing gives the cold run's metrics exactly.
+ */
+TEST(WarmStart, EveryDetailedBenchmarkMatchesColdStart)
+{
+    constexpr std::uint64_t kAccesses = 4000;
+    for (const Benchmark &bench : detailedStudyBenchmarks()) {
+        RunOptions options;
+        options.mode = PrefetchMode::PMS;
+        options.accesses = kAccesses;
+        options.warmup_cycles = 5 * kAccesses;
+        const JobSpec job = makeJob(bench, options);
+        const RunMetrics cold = runBenchmark(bench, options);
+        const RunMetrics warm = runFromSnapshot(job, simulateWarmup(job));
+        EXPECT_GT(cold.cycles, options.warmup_cycles) << bench.name;
+        EXPECT_TRUE(cold == warm) << bench.name;
+    }
+}
+
 TEST(WarmStart, CacheComputesEachKeyOnce)
 {
     WarmupCache cache;
