@@ -33,11 +33,8 @@
 #include "common/table.hpp"
 #include "core/asd_prefetcher.hpp"
 #include "sim/experiment.hpp"
-#include "sim/system.hpp"
-#include "trace/synthetic.hpp"
 #include "tuner/tuned_run.hpp"
 #include "workloads/profiles.hpp"
-#include "workloads/tenant_mix.hpp"
 
 namespace
 {
@@ -148,28 +145,16 @@ struct ContenderResult
 };
 
 /**
- * The fixed-ASD contender, run through a hand-built System so the
+ * The fixed-ASD contender, run through BenchmarkRun so the
  * stream-length histogram is reachable (runBenchmark hides it).
  */
 ContenderResult
 runFixedAsd(const Benchmark &bench, const RunOptions &options)
 {
-    SyntheticConfig trace_config = bench.trace;
-    trace_config.total_accesses = scaledAccesses(bench, options);
-
+    BenchmarkRun run({bench}, options);
     ContenderResult out;
-    std::unique_ptr<TraceSource> source;
-    if (options.tenants.enabled) {
-        source = std::make_unique<TenantMixSource>(
-            options.tenants, trace_config,
-            trace_config.total_accesses);
-    } else {
-        source =
-            std::make_unique<SyntheticTraceGenerator>(trace_config);
-    }
-    System system(makeSystemConfig(options), {source.get()});
-    out.metrics = system.run(); // collectMetrics covers the OS block
-    const Histogram &hist = system.asd()->streamLengthHist();
+    out.metrics = run.run().metrics; // covers the OS block
+    const Histogram &hist = run.system().asd()->streamLengthHist();
     out.mean_stream_len = histMean(hist);
     out.len16_pct = hist.fraction(16) * 100.0;
     return out;

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arena/registry.hpp"
@@ -26,9 +27,7 @@
 #include "sim/experiment.hpp"
 #include "sim/serialize.hpp"
 #include "sim/snapshot_io.hpp"
-#include "sim/system.hpp"
 #include "telemetry/sinks.hpp"
-#include "trace/synthetic.hpp"
 #include "tuner/tuned_run.hpp"
 
 namespace
@@ -267,21 +266,54 @@ parseArgs(int argc, char **argv)
     return args;
 }
 
+/** One line of the report: metric name, printed value. */
+using ReportRow = std::pair<std::string, std::string>;
+
 /**
- * Wire the mix's arrival/departure counters into the telemetry
- * recorder. Every path that builds a tenant System must do this
- * before running (or restoring), or its epoch records would disagree
- * with an uninterrupted run's.
+ * The report in print order. The table prints every row and --csv
+ * joins the values, so both list the same metrics the same way.
  */
-void
-installTenantProbe(System &system, const TenantMixSource &mix)
+std::vector<ReportRow>
+reportRows(const std::string &bench_name, const RunMetrics &m)
 {
-    system.setTenantProbe([&mix]() {
-        TenantTelemetrySample sample;
-        sample.arrivals = mix.arrivals();
-        sample.departures = mix.departures();
-        return sample;
-    });
+    const auto count = [](std::uint64_t v) { return std::to_string(v); };
+    std::vector<ReportRow> rows = {
+        {"benchmark", bench_name},
+        {"cycles", count(m.cycles)},
+        {"accesses", count(m.accesses)},
+        {"dram_watts", Table::num(m.dram_watts, 3)},
+        {"dram_energy_mj", Table::num(m.dram_energy_mj, 3)},
+        {"coverage_pct", Table::num(m.coverage_pct, 2)},
+        {"useful_prefetch_pct", Table::num(m.useful_prefetch_pct, 2)},
+        {"delayed_regular_pct", Table::num(m.delayed_regular_pct, 2)},
+        {"ms_prefetches_issued", count(m.ms_prefetches_issued)},
+        {"mc_reads", count(m.mc_reads)},
+        {"mc_writes", count(m.mc_writes)},
+    };
+    // The VM layer and the OS model exclude each other; both
+    // translate through a TLB.
+    if (m.vm_enabled || m.os_enabled)
+        rows.insert(rows.end(), {{"tlb_hits", count(m.tlb_hits)},
+                                 {"tlb_misses", count(m.tlb_misses)}});
+    if (m.vm_enabled)
+        rows.insert(rows.end(),
+                    {{"page_walk_cycles", count(m.page_walk_cycles)},
+                     {"pages_mapped", count(m.pages_mapped)}});
+    if (m.os_enabled)
+        rows.insert(rows.end(),
+                    {{"os_minor_faults", count(m.os_minor_faults)},
+                     {"os_major_faults", count(m.os_major_faults)},
+                     {"os_reclaims", count(m.os_reclaims)},
+                     {"os_writebacks", count(m.os_writebacks)},
+                     {"os_shootdowns", count(m.os_shootdowns)},
+                     {"os_stall_cycles", count(m.os_stall_cycles)},
+                     {"os_resident_pages", count(m.os_resident_pages)}});
+    if (m.tenants_enabled)
+        rows.insert(rows.end(),
+                    {{"tenant_active", count(m.tenant_active)},
+                     {"tenant_arrivals", count(m.tenant_arrivals)},
+                     {"tenant_departures", count(m.tenant_departures)}});
+    return rows;
 }
 
 void
@@ -329,24 +361,11 @@ saveSnapshotRun(const CliArgs &args)
         run.runUntil(args.save_cycle);
         run.saveSnapshot(writer);
         saved_at = run.system().nowCycle();
-    } else if (args.options.tenants.enabled) {
-        SyntheticConfig trace_config = bench.trace;
-        trace_config.total_accesses = accesses;
-        TenantMixSource mix(args.options.tenants, trace_config,
-                            accesses);
-        System system(makeSystemConfig(args.options), {&mix});
-        installTenantProbe(system, mix);
-        system.runUntil(args.save_cycle);
-        system.saveSnapshot(writer);
-        saved_at = system.nowCycle();
     } else {
-        SyntheticConfig trace_config = bench.trace;
-        trace_config.total_accesses = accesses;
-        SyntheticTraceGenerator trace(trace_config);
-        System system(makeSystemConfig(args.options), {&trace});
-        system.runUntil(args.save_cycle);
-        system.saveSnapshot(writer);
-        saved_at = system.nowCycle();
+        BenchmarkRun run({bench}, args.options, accesses);
+        run.system().runUntil(args.save_cycle);
+        run.system().saveSnapshot(writer);
+        saved_at = run.system().nowCycle();
     }
     try {
         writeSnapshotFile(args.save_path,
@@ -410,37 +429,14 @@ loadSnapshotRun(const CliArgs &args, std::string &bench_name,
             return res.metrics;
         }
 
-        SyntheticConfig trace_config = bench.trace;
-        trace_config.total_accesses = accesses;
-        if (options.tenants.enabled) {
-            TenantMixSource mix(options.tenants, trace_config,
-                                accesses);
-            System system(makeSystemConfig(options), {&mix});
-            installTenantProbe(system, mix);
-            system.loadSnapshot(reader);
-            std::cerr << "asdsim_cli: restored " << bench_name
-                      << " at cycle " << system.nowCycle() << " from "
-                      << args.load_path << "\n";
-            system.runUntil(kNoCycle);
-            if (system.telemetry())
-                epochs = system.telemetry()->records();
-            RunMetrics m = system.collectMetrics();
-            m.tenants_enabled = true;
-            m.tenant_arrivals = mix.arrivals();
-            m.tenant_departures = mix.departures();
-            m.tenant_active = mix.activeTenants();
-            return m;
-        }
-        SyntheticTraceGenerator trace(trace_config);
-        System system(makeSystemConfig(options), {&trace});
-        system.loadSnapshot(reader);
+        BenchmarkRun run({bench}, options, accesses);
+        run.system().loadSnapshot(reader);
         std::cerr << "asdsim_cli: restored " << bench_name
-                  << " at cycle " << system.nowCycle() << " from "
+                  << " at cycle " << run.system().nowCycle() << " from "
                   << args.load_path << "\n";
-        system.runUntil(kNoCycle);
-        if (system.telemetry())
-            epochs = system.telemetry()->records();
-        return system.collectMetrics();
+        RunResult res = run.run();
+        epochs = std::move(res.epochs);
+        return res.metrics;
     } catch (const SnapshotError &e) {
         fatal(std::string("snapshot load failed: ") + e.what());
     }
@@ -507,9 +503,12 @@ main(int argc, char **argv)
         decisions = res.decisions;
     } else {
         const Benchmark &bench = findBenchmark(args.bench);
-        m = args.smt
-                ? runSmtPair(bench, bench, args.options, &epochs)
-                : runBenchmark(bench, args.options, &epochs);
+        std::vector<Benchmark> benches = {bench};
+        if (args.smt)
+            benches.push_back(bench);
+        RunResult res = BenchmarkRun(benches, args.options).run();
+        m = res.metrics;
+        epochs = std::move(res.epochs);
     }
 
     if (tuner_on) {
@@ -540,84 +539,17 @@ main(int argc, char **argv)
         out << toJson(m) << "\n";
     }
 
+    const std::vector<ReportRow> rows = reportRows(bench_name, m);
     if (args.csv) {
-        std::cout << bench_name << "," << m.cycles << ","
-                  << m.accesses << "," << Table::num(m.dram_watts, 3)
-                  << "," << Table::num(m.dram_energy_mj, 3) << ","
-                  << Table::num(m.coverage_pct, 2) << ","
-                  << Table::num(m.useful_prefetch_pct, 2) << ","
-                  << Table::num(m.delayed_regular_pct, 2) << ","
-                  << m.ms_prefetches_issued << "," << m.mc_reads << ","
-                  << m.mc_writes;
-        if (m.vm_enabled) {
-            std::cout << "," << m.tlb_hits << "," << m.tlb_misses
-                      << "," << m.page_walk_cycles << ","
-                      << m.pages_mapped;
-        }
-        if (m.os_enabled) {
-            std::cout << "," << m.tlb_hits << "," << m.tlb_misses
-                      << "," << m.os_minor_faults << ","
-                      << m.os_major_faults << "," << m.os_reclaims
-                      << "," << m.os_writebacks << ","
-                      << m.os_shootdowns << "," << m.os_stall_cycles
-                      << "," << m.os_resident_pages;
-        }
-        if (m.tenants_enabled) {
-            std::cout << "," << m.tenant_active << ","
-                      << m.tenant_arrivals << ","
-                      << m.tenant_departures;
-        }
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            std::cout << (i ? "," : "") << rows[i].second;
         std::cout << "\n";
         return 0;
     }
 
     Table table({"metric", "value"});
-    table.addRow({"benchmark", bench_name});
-    table.addRow({"cycles", std::to_string(m.cycles)});
-    table.addRow({"accesses", std::to_string(m.accesses)});
-    table.addRow({"dram_watts", Table::num(m.dram_watts, 3)});
-    table.addRow({"dram_energy_mj", Table::num(m.dram_energy_mj, 3)});
-    table.addRow({"coverage_pct", Table::num(m.coverage_pct, 2)});
-    table.addRow(
-        {"useful_prefetch_pct", Table::num(m.useful_prefetch_pct, 2)});
-    table.addRow({"delayed_regular_pct",
-                  Table::num(m.delayed_regular_pct, 2)});
-    table.addRow({"ms_prefetches_issued",
-                  std::to_string(m.ms_prefetches_issued)});
-    table.addRow({"mc_reads", std::to_string(m.mc_reads)});
-    table.addRow({"mc_writes", std::to_string(m.mc_writes)});
-    if (m.vm_enabled) {
-        table.addRow({"tlb_hits", std::to_string(m.tlb_hits)});
-        table.addRow({"tlb_misses", std::to_string(m.tlb_misses)});
-        table.addRow({"page_walk_cycles",
-                      std::to_string(m.page_walk_cycles)});
-        table.addRow({"pages_mapped", std::to_string(m.pages_mapped)});
-    }
-    if (m.os_enabled) {
-        table.addRow({"tlb_hits", std::to_string(m.tlb_hits)});
-        table.addRow({"tlb_misses", std::to_string(m.tlb_misses)});
-        table.addRow(
-            {"os_minor_faults", std::to_string(m.os_minor_faults)});
-        table.addRow(
-            {"os_major_faults", std::to_string(m.os_major_faults)});
-        table.addRow({"os_reclaims", std::to_string(m.os_reclaims)});
-        table.addRow(
-            {"os_writebacks", std::to_string(m.os_writebacks)});
-        table.addRow(
-            {"os_shootdowns", std::to_string(m.os_shootdowns)});
-        table.addRow(
-            {"os_stall_cycles", std::to_string(m.os_stall_cycles)});
-        table.addRow({"os_resident_pages",
-                      std::to_string(m.os_resident_pages)});
-    }
-    if (m.tenants_enabled) {
-        table.addRow(
-            {"tenant_active", std::to_string(m.tenant_active)});
-        table.addRow(
-            {"tenant_arrivals", std::to_string(m.tenant_arrivals)});
-        table.addRow({"tenant_departures",
-                      std::to_string(m.tenant_departures)});
-    }
+    for (const ReportRow &row : rows)
+        table.addRow({row.first, row.second});
     table.print(std::cout);
     return 0;
 }

@@ -249,24 +249,20 @@ selectBenchmarks(const CliConfig &cli)
 }
 
 /**
- * Give @p job a custom body that mirrors the default one (seed
- * override + runBenchmark) but also captures the per-epoch telemetry
- * and writes it as <out>/telemetry/<id>.csv and <id>.trace.json.
+ * Give @p job a custom body that mirrors the default one but also
+ * captures the per-epoch telemetry and writes it as
+ * <out>/telemetry/<id>.csv and <id>.trace.json.
  */
 void
 attachTelemetryBody(JobSpec &job, const std::string &out_dir)
 {
     const std::string stem = out_dir + "/telemetry/" + job.id;
     job.body = [stem](const JobSpec &spec) {
-        Benchmark bench = spec.bench;
-        if (spec.seed)
-            bench.trace.seed = *spec.seed;
-        std::vector<EpochRecord> epochs;
-        const RunMetrics metrics =
-            runBenchmark(bench, spec.options, &epochs);
-        saveTelemetryCsv(epochs, stem + ".csv");
-        saveTelemetryChromeTrace(epochs, stem + ".trace.json");
-        return metrics;
+        const RunResult result =
+            BenchmarkRun({effectiveBench(spec)}, spec.options).run();
+        saveTelemetryCsv(result.epochs, stem + ".csv");
+        saveTelemetryChromeTrace(result.epochs, stem + ".trace.json");
+        return result.metrics;
     };
 }
 
@@ -282,11 +278,8 @@ attachTunerBody(JobSpec &job, const std::string &out_dir)
     const bool telemetry = job.options.telemetry.enabled;
     const std::string stem = out_dir + "/telemetry/" + job.id;
     job.body = [stem, telemetry](const JobSpec &spec) {
-        Benchmark bench = spec.bench;
-        if (spec.seed)
-            bench.trace.seed = *spec.seed;
-        TunedRun run(bench, spec.options);
-        const TunedRunResult result = run.run();
+        const TunedRunResult result =
+            TunedRun(effectiveBench(spec), spec.options).run();
         if (telemetry) {
             saveTelemetryCsv(result.epochs, stem + ".csv");
             saveTelemetryChromeTrace(result.epochs,

@@ -27,10 +27,7 @@ withTunerBody(JobSpec spec)
     if (!spec.options.tuner.enabled)
         return spec;
     spec.body = [](const JobSpec &job) {
-        Benchmark bench = job.bench;
-        if (job.seed)
-            bench.trace.seed = *job.seed;
-        return TunedRun(bench, job.options).run().metrics;
+        return TunedRun(effectiveBench(job), job.options).run().metrics;
     };
     return spec;
 }

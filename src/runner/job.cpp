@@ -87,6 +87,15 @@ makeJob(const Benchmark &bench, const RunOptions &options,
     return job;
 }
 
+Benchmark
+effectiveBench(const JobSpec &job)
+{
+    Benchmark bench = job.bench;
+    if (job.seed)
+        bench.trace.seed = *job.seed;
+    return bench;
+}
+
 JobResult
 runJob(const JobSpec &job)
 {
@@ -95,14 +104,10 @@ runJob(const JobSpec &job)
 
     const auto start = std::chrono::steady_clock::now();
     try {
-        if (job.body) {
-            result.metrics = job.body(job);
-        } else {
-            Benchmark bench = job.bench;
-            if (job.seed)
-                bench.trace.seed = *job.seed;
-            result.metrics = runBenchmark(bench, job.options);
-        }
+        result.metrics = job.body
+                             ? job.body(job)
+                             : runBenchmark(effectiveBench(job),
+                                            job.options);
         result.status = JobStatus::Ok;
     } catch (const std::exception &e) {
         result.status = JobStatus::Failed;

@@ -47,8 +47,8 @@ struct JobSpec
 
     /**
      * Custom work body; when empty the job runs
-     * runBenchmark(bench-with-seed, options). Lets harnesses reuse
-     * the pool for SMT pairs or fault-injection tests.
+     * runBenchmark(effectiveBench(job), options). Lets harnesses
+     * reuse the pool for SMT pairs or fault-injection tests.
      */
     std::function<RunMetrics(const JobSpec &)> body;
 };
@@ -96,6 +96,9 @@ std::string makeJobId(const Benchmark &bench, const RunOptions &options,
 /** Build a JobSpec with makeJobId() as its id. */
 JobSpec makeJob(const Benchmark &bench, const RunOptions &options,
                 std::optional<std::uint64_t> seed = std::nullopt);
+
+/** @p job's benchmark with its seed override, if any, applied. */
+Benchmark effectiveBench(const JobSpec &job);
 
 /**
  * Execute @p job on the calling thread: apply the seed override, run

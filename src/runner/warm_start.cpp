@@ -5,25 +5,13 @@
 
 #include "common/log.hpp"
 #include "sim/serialize.hpp"
-#include "sim/system.hpp"
 #include "snapshot/snapshot.hpp"
-#include "trace/synthetic.hpp"
 
 namespace asd
 {
 
 namespace
 {
-
-/** The benchmark with any per-job seed override applied. */
-Benchmark
-effectiveBench(const JobSpec &job)
-{
-    Benchmark bench = job.bench;
-    if (job.seed)
-        bench.trace.seed = *job.seed;
-    return bench;
-}
 
 /**
  * The configuration the warm-up runs under: the job's options with
@@ -73,44 +61,7 @@ warmupKey(const JobSpec &job)
 bool
 warmStartEligible(const JobSpec &job)
 {
-    // Tenant mixes run through a TenantMixSource; the warm-up
-    // fork path below rebuilds a plain SyntheticTraceGenerator, so
-    // those jobs always cold-start.
-    return !job.body && job.options.warmup_cycles > 0 &&
-           !job.options.tenants.enabled;
-}
-
-SnapshotBytes
-simulateWarmup(const JobSpec &job)
-{
-    const Benchmark bench = effectiveBench(job);
-    SyntheticConfig trace_config = bench.trace;
-    trace_config.total_accesses = scaledAccesses(bench, job.options);
-    SyntheticTraceGenerator trace(trace_config);
-
-    System system(makeSystemConfig(warmupOptions(job)), {&trace});
-    system.runUntil(job.options.warmup_cycles);
-
-    SnapshotWriter writer;
-    system.saveSnapshot(writer);
-    return writer.finish(fnv1a64(warmupKey(job)));
-}
-
-RunMetrics
-runFromSnapshot(const JobSpec &job, const SnapshotBytes &bytes)
-{
-    const Benchmark bench = effectiveBench(job);
-    SyntheticConfig trace_config = bench.trace;
-    trace_config.total_accesses = scaledAccesses(bench, job.options);
-    SyntheticTraceGenerator trace(trace_config);
-
-    SnapshotReader reader(bytes);
-    reader.requireConfigHash(fnv1a64(warmupKey(job)));
-
-    System system(makeSystemConfig(job.options), {&trace});
-    system.loadSnapshot(reader);
-    system.runUntil(kNoCycle);
-    return system.collectMetrics();
+    return !job.body && job.options.warmup_cycles > 0;
 }
 
 // --- WarmupCache ---------------------------------------------------
@@ -206,6 +157,25 @@ WarmupCache::obtain(const std::string &key,
     return future.get();
 }
 
+RunMetrics
+runWarmStarted(const JobSpec &job, WarmupCache &cache)
+{
+    const Benchmark bench = effectiveBench(job);
+    const std::string key = warmupKey(job);
+    const auto bytes = cache.obtain(key, [&] {
+        BenchmarkRun warmup({bench}, warmupOptions(job));
+        warmup.system().runUntil(job.options.warmup_cycles);
+        SnapshotWriter writer;
+        warmup.system().saveSnapshot(writer);
+        return writer.finish(fnv1a64(key));
+    });
+    SnapshotReader reader(*bytes);
+    reader.requireConfigHash(fnv1a64(key));
+    BenchmarkRun run({bench}, job.options);
+    run.system().loadSnapshot(reader);
+    return run.run().metrics;
+}
+
 std::size_t
 applyWarmStart(std::vector<JobSpec> &jobs,
                std::shared_ptr<WarmupCache> cache)
@@ -217,9 +187,7 @@ applyWarmStart(std::vector<JobSpec> &jobs,
         ++wrapped;
         job.body = [cache](const JobSpec &j) -> RunMetrics {
             try {
-                const auto bytes = cache->obtain(
-                    warmupKey(j), [&j] { return simulateWarmup(j); });
-                return runFromSnapshot(j, *bytes);
+                return runWarmStarted(j, *cache);
             } catch (const SnapshotError &e) {
                 warn("warm start failed for " + j.id + " (" +
                      e.what() + "); falling back to a cold start");

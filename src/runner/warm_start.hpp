@@ -55,21 +55,6 @@ std::string warmupKey(const JobSpec &job);
 bool warmStartEligible(const JobSpec &job);
 
 /**
- * Run @p job's warm-up (memory side stripped, telemetry off) to the
- * warm-up boundary and serialize the machine. Header hash =
- * fnv1a64(warmupKey(job)).
- */
-SnapshotBytes simulateWarmup(const JobSpec &job);
-
-/**
- * Build @p job's full machine, restore the warm-up snapshot into it,
- * arm at the boundary, and run to completion. Throws SnapshotError
- * when @p bytes does not match the job's warm-up key or shape.
- */
-RunMetrics runFromSnapshot(const JobSpec &job,
-                           const SnapshotBytes &bytes);
-
-/**
  * Once-per-key snapshot store shared by the jobs of one sweep.
  * Thread-safe: the first caller of obtain() for a key computes (or
  * reads from the disk cache) while later callers block on the shared
@@ -110,7 +95,18 @@ class WarmupCache
 };
 
 /**
- * Give every eligible job a body that warm-starts through @p cache
+ * Run @p job from its shared warm-up: obtain the snapshot for
+ * warmupKey(job) from @p cache (simulating the warm-up, memory side
+ * stripped and telemetry off, when no sharer has yet), restore it
+ * into the job's full machine, arm at the boundary and run to
+ * completion. Throws SnapshotError when the image does not match
+ * the job's warm-up key or shape.
+ */
+RunMetrics runWarmStarted(const JobSpec &job, WarmupCache &cache);
+
+/**
+ * Give every eligible job a body that runs runWarmStarted() through
+ * @p cache and falls back to a cold start on a SnapshotError
  * (ineligible jobs — custom bodies, no warm-up phase — are left
  * untouched). @return the number of jobs wrapped.
  */

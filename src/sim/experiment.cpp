@@ -5,7 +5,6 @@
 
 #include "common/flags.hpp"
 #include "common/log.hpp"
-#include "sim/system.hpp"
 #include "trace/synthetic.hpp"
 
 namespace asd
@@ -73,92 +72,105 @@ makeSystemConfig(const RunOptions &options)
     return config;
 }
 
+std::vector<std::unique_ptr<TraceSource>>
+makeTraceSources(const std::vector<Benchmark> &benches,
+                 const RunOptions &options, std::uint64_t accesses)
+{
+    if (options.tenants.enabled && benches.size() != 1)
+        fatal("a tenant mix is one interleaved trace; it cannot run "
+              "as an SMT pair");
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    for (const Benchmark &bench : benches) {
+        SyntheticConfig trace_config = bench.trace;
+        trace_config.total_accesses =
+            accesses != 0 ? accesses : scaledAccesses(bench, options);
+        // Distinct seeds so co-running identical benchmarks do not
+        // share address streams.
+        if (!sources.empty())
+            trace_config.seed = trace_config.seed * 7919 + 17;
+        if (options.tenants.enabled)
+            sources.push_back(std::make_unique<TenantMixSource>(
+                options.tenants, trace_config,
+                trace_config.total_accesses));
+        else
+            sources.push_back(
+                std::make_unique<SyntheticTraceGenerator>(trace_config));
+    }
+    return sources;
+}
+
 namespace
 {
 
-void
-copyEpochs(const System &system, std::vector<EpochRecord> *out)
+std::vector<TraceSource *>
+pointersTo(const std::vector<std::unique_ptr<TraceSource>> &sources)
 {
-    if (!out)
-        return;
-    out->clear();
-    if (system.telemetry())
-        *out = system.telemetry()->records();
-}
-
-void
-fillTenantMetrics(RunMetrics &metrics, const TenantMixSource &mix)
-{
-    metrics.tenants_enabled = true;
-    metrics.tenant_arrivals = mix.arrivals();
-    metrics.tenant_departures = mix.departures();
-    metrics.tenant_active = mix.activeTenants();
+    std::vector<TraceSource *> out;
+    for (const auto &source : sources)
+        out.push_back(source.get());
+    return out;
 }
 
 } // namespace
 
-RunMetrics
-runBenchmark(const Benchmark &bench, const RunOptions &options)
+BenchmarkRun::BenchmarkRun(const std::vector<Benchmark> &benches,
+                           const RunOptions &options,
+                           std::uint64_t accesses,
+                           const std::optional<SystemConfig> &config)
+    : sources_(makeTraceSources(benches, options, accesses)),
+      mix_(options.tenants.enabled
+               ? static_cast<const TenantMixSource *>(sources_[0].get())
+               : nullptr),
+      system_(config ? *config : makeSystemConfig(options),
+              pointersTo(sources_))
 {
-    return runBenchmark(bench, options, nullptr);
+    // Epoch records sample the mix's counters; install the probe
+    // before the first epoch (or a restore) so every path that
+    // builds a mix records what an uninterrupted run records.
+    if (mix_) {
+        system_.setTenantProbe([mix = mix_]() {
+            TenantTelemetrySample sample;
+            sample.arrivals = mix->arrivals();
+            sample.departures = mix->departures();
+            return sample;
+        });
+    }
+}
+
+RunResult
+BenchmarkRun::run()
+{
+    system_.runUntil(kNoCycle);
+    return result();
+}
+
+RunResult
+BenchmarkRun::result() const
+{
+    RunResult out;
+    out.metrics = system_.collectMetrics();
+    if (mix_) {
+        out.metrics.tenants_enabled = true;
+        out.metrics.tenant_arrivals = mix_->arrivals();
+        out.metrics.tenant_departures = mix_->departures();
+        out.metrics.tenant_active = mix_->activeTenants();
+    }
+    if (system_.telemetry())
+        out.epochs = system_.telemetry()->records();
+    return out;
 }
 
 RunMetrics
-runBenchmark(const Benchmark &bench, const RunOptions &options,
-             std::vector<EpochRecord> *epochs_out)
+runBenchmark(const Benchmark &bench, const RunOptions &options)
 {
-    SyntheticConfig trace_config = bench.trace;
-    trace_config.total_accesses = scaledAccesses(bench, options);
-
-    if (options.tenants.enabled) {
-        TenantMixSource mix(options.tenants, trace_config,
-                            trace_config.total_accesses);
-        System system(makeSystemConfig(options), {&mix});
-        system.setTenantProbe([&mix]() {
-            TenantTelemetrySample sample;
-            sample.arrivals = mix.arrivals();
-            sample.departures = mix.departures();
-            return sample;
-        });
-        RunMetrics metrics = system.run();
-        fillTenantMetrics(metrics, mix);
-        copyEpochs(system, epochs_out);
-        return metrics;
-    }
-
-    SyntheticTraceGenerator trace(trace_config);
-    System system(makeSystemConfig(options), {&trace});
-    const RunMetrics metrics = system.run();
-    copyEpochs(system, epochs_out);
-    return metrics;
+    return BenchmarkRun({bench}, options).run().metrics;
 }
 
 RunMetrics
 runSmtPair(const Benchmark &a, const Benchmark &b,
            const RunOptions &options)
 {
-    return runSmtPair(a, b, options, nullptr);
-}
-
-RunMetrics
-runSmtPair(const Benchmark &a, const Benchmark &b,
-           const RunOptions &options,
-           std::vector<EpochRecord> *epochs_out)
-{
-    SyntheticConfig config_a = a.trace;
-    SyntheticConfig config_b = b.trace;
-    config_a.total_accesses = scaledAccesses(a, options);
-    config_b.total_accesses = scaledAccesses(b, options);
-    // Distinct seeds so co-running identical benchmarks do not share
-    // address streams.
-    config_b.seed = config_b.seed * 7919 + 17;
-    SyntheticTraceGenerator trace_a(config_a);
-    SyntheticTraceGenerator trace_b(config_b);
-
-    System system(makeSystemConfig(options), {&trace_a, &trace_b});
-    const RunMetrics metrics = system.run();
-    copyEpochs(system, epochs_out);
-    return metrics;
+    return BenchmarkRun({a, b}, options).run().metrics;
 }
 
 } // namespace asd

@@ -3,18 +3,21 @@
 
 /**
  * @file
- * Convenience layer used by the bench binaries and examples: build a
- * System for a named benchmark in a given configuration, run it, and
- * return metrics. Centralizes the paper's defaults so every figure
+ * The run builder every harness shares: the benches, examples,
+ * sweep runner, warm starts, snapshots and the tuner all turn a
+ * benchmark and its RunOptions into trace sources, a System and
+ * metrics here. Centralizes the paper's defaults so every figure
  * runs the same machine.
  */
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/metrics.hpp"
+#include "sim/system.hpp"
 #include "sim/system_config.hpp"
 #include "sim/tuner_config.hpp"
 #include "telemetry/recorder.hpp"
@@ -88,28 +91,79 @@ struct RunOptions
 /** The paper's default machine for @p options. */
 SystemConfig makeSystemConfig(const RunOptions &options);
 
-/** Run one benchmark single-threaded. */
-RunMetrics runBenchmark(const Benchmark &bench,
-                        const RunOptions &options);
+/**
+ * The trace sources a run of @p benches reads, one per hardware
+ * thread: each benchmark's generator with its trace length resolved
+ * (@p accesses when non-zero, else scaledAccesses()), or, with
+ * options.tenants.enabled, one tenant mix of the single benchmark.
+ * The second thread of an SMT pair runs with seed*7919+17, so
+ * co-running copies of one benchmark do not share address streams.
+ * fatal() on a tenant mix of two benchmarks (a mix is one
+ * interleaved trace).
+ */
+std::vector<std::unique_ptr<TraceSource>>
+makeTraceSources(const std::vector<Benchmark> &benches,
+                 const RunOptions &options, std::uint64_t accesses = 0);
+
+/** What one finished run produced. */
+struct RunResult
+{
+    /** The machine's metrics, with the tenant fields of a mix. */
+    RunMetrics metrics;
+
+    /** The telemetry time series (empty when telemetry is off). */
+    std::vector<EpochRecord> epochs;
+};
 
 /**
- * Like runBenchmark, additionally copying the telemetry time-series
- * into @p epochs_out (cleared first; empty when
- * options.telemetry.enabled is false or the MC prefetcher is not
- * ASD). Null @p epochs_out is allowed.
+ * One run of one benchmark (or an SMT pair of two), built the one
+ * way every harness builds it: the trace sources of
+ * makeTraceSources(), a System over them, and, for a tenant mix, the
+ * mix's arrival/departure counters wired into the telemetry
+ * recorder before the first tick. Callers that stop and resume
+ * (warm starts, snapshots, the tuner) drive system() directly and
+ * read the outcome through result().
  */
+class BenchmarkRun
+{
+  public:
+    /**
+     * @param accesses the resolved trace length; 0 = scaledAccesses()
+     *        per benchmark. A snapshot pins it, since the scale may
+     *        differ between the process that saved and the one that
+     *        restores.
+     * @param config the machine; default makeSystemConfig(options).
+     */
+    BenchmarkRun(const std::vector<Benchmark> &benches,
+                 const RunOptions &options, std::uint64_t accesses = 0,
+                 const std::optional<SystemConfig> &config =
+                     std::nullopt);
+
+    BenchmarkRun(const BenchmarkRun &) = delete;
+    BenchmarkRun &operator=(const BenchmarkRun &) = delete;
+
+    System &system() { return system_; }
+    const System &system() const { return system_; }
+
+    /** Run to completion and report. */
+    RunResult run();
+
+    /** The outcome as the machine stands now. */
+    RunResult result() const;
+
+  private:
+    std::vector<std::unique_ptr<TraceSource>> sources_;
+    const TenantMixSource *mix_ = nullptr; //!< sources_[0] of a mix
+    System system_;
+};
+
+/** Run one benchmark single-threaded to completion. */
 RunMetrics runBenchmark(const Benchmark &bench,
-                        const RunOptions &options,
-                        std::vector<EpochRecord> *epochs_out);
+                        const RunOptions &options);
 
 /** Run two benchmark threads on one core (SMT experiments). */
 RunMetrics runSmtPair(const Benchmark &a, const Benchmark &b,
                       const RunOptions &options);
-
-/** SMT variant with a telemetry out-param (see runBenchmark). */
-RunMetrics runSmtPair(const Benchmark &a, const Benchmark &b,
-                      const RunOptions &options,
-                      std::vector<EpochRecord> *epochs_out);
 
 /**
  * Global trace-length multiplier from the ASD_BENCH_SCALE environment

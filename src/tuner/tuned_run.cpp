@@ -9,7 +9,8 @@ namespace asd
 
 TunedRun::TunedRun(const Benchmark &bench, const RunOptions &options,
                    std::uint64_t total_accesses)
-    : bench_(bench), options_(options), detector_(options.tuner)
+    : bench_(bench), options_(options), accesses_(total_accesses),
+      detector_(options.tuner)
 {
     if (!options_.tuner.enabled)
         fatal("TunedRun: options.tuner.enabled must be set");
@@ -31,75 +32,40 @@ TunedRun::TunedRun(const Benchmark &bench, const RunOptions &options,
     }
     sys_config_.telemetry.max_epochs = 0;
 
-    trace_config_ = bench_.trace;
-    trace_config_.total_accesses =
-        total_accesses != 0 ? total_accesses
-                            : scaledAccesses(bench_, options_);
-
     current_ = tuningOf(sys_config_.asd);
     buildSystem(current_);
 
-    const SyntheticConfig trace_config = trace_config_;
-    const TenantMixConfig tenants = options_.tenants;
     shadow_ = std::make_unique<ShadowTuner>(
-        options_.tuner, sys_config_, [trace_config, tenants]() {
-            std::vector<std::unique_ptr<TraceSource>> traces;
-            if (tenants.enabled) {
-                traces.push_back(std::make_unique<TenantMixSource>(
-                    tenants, trace_config,
-                    trace_config.total_accesses));
-            } else {
-                traces.push_back(
-                    std::make_unique<SyntheticTraceGenerator>(
-                        trace_config));
-            }
-            return traces;
+        options_.tuner, sys_config_,
+        [bench = bench_, options = options_, accesses = accesses_]() {
+            return makeTraceSources({bench}, options, accesses);
         });
 }
 
 void
 TunedRun::buildSystem(const AsdTuning &tuning)
 {
-    if (options_.tenants.enabled) {
-        trace_ = std::make_unique<TenantMixSource>(
-            options_.tenants, trace_config_,
-            trace_config_.total_accesses);
-    } else {
-        trace_ =
-            std::make_unique<SyntheticTraceGenerator>(trace_config_);
-    }
     SystemConfig config = sys_config_;
     config.asd = withTuning(config.asd, tuning);
-    system_ = std::make_unique<System>(
-        config, std::vector<TraceSource *>{trace_.get()});
-    if (!system_->asd())
+    run_ = std::make_unique<BenchmarkRun>(
+        std::vector<Benchmark>{bench_}, options_, accesses_, config);
+    if (!system().asd())
         fatal("TunedRun: system has no ASD prefetcher to tune");
-    if (options_.tenants.enabled) {
-        const auto *mix =
-            static_cast<const TenantMixSource *>(trace_.get());
-        system_->setTenantProbe([mix]() {
-            TenantTelemetrySample sample;
-            sample.arrivals = mix->arrivals();
-            sample.departures = mix->departures();
-            return sample;
-        });
-    }
     installHooks();
 }
 
 void
 TunedRun::installHooks()
 {
-    system_->setEpochEndHook(
-        [this](Cycle now) { onEpochEnd(now); });
-    system_->setLoopHook([this](Cycle now) { onLoopTop(now); });
+    system().setEpochEndHook([this](Cycle now) { onEpochEnd(now); });
+    system().setLoopHook([this](Cycle now) { onLoopTop(now); });
 }
 
 void
 TunedRun::onEpochEnd(Cycle now)
 {
     (void)now;
-    const TelemetryRecorder *telemetry = system_->telemetry();
+    const TelemetryRecorder *telemetry = system().telemetry();
     if (!telemetry || telemetry->records().empty())
         return;
     const EpochRecord &rec = telemetry->records().back();
@@ -137,7 +103,7 @@ void
 TunedRun::decide(Cycle now)
 {
     const ShadowVerdict verdict =
-        shadow_->evaluate(*system_, current_);
+        shadow_->evaluate(system(), current_);
     const AsdTuning &winner = verdict.tunings[verdict.winner];
 
     TunerDecision d;
@@ -158,7 +124,7 @@ TunedRun::decide(Cycle now)
     d.accesses_at_decision = liveAccesses();
 
     if (d.adopted_change) {
-        system_->applyTuning(winner);
+        system().applyTuning(winner);
         current_ = winner;
     }
     recorder_.append(d);
@@ -171,13 +137,13 @@ TunedRun::decide(Cycle now)
 std::uint64_t
 TunedRun::liveAccesses() const
 {
-    return system_->collectMetrics().accesses;
+    return system().collectMetrics().accesses;
 }
 
 void
 TunedRun::runUntil(Cycle target)
 {
-    system_->runUntil(target);
+    system().runUntil(target);
 }
 
 TunedRunResult
@@ -190,18 +156,10 @@ TunedRun::run()
 TunedRunResult
 TunedRun::result() const
 {
+    RunResult run = run_->result();
     TunedRunResult res;
-    res.metrics = system_->collectMetrics();
-    if (options_.tenants.enabled) {
-        const auto *mix =
-            static_cast<const TenantMixSource *>(trace_.get());
-        res.metrics.tenants_enabled = true;
-        res.metrics.tenant_arrivals = mix->arrivals();
-        res.metrics.tenant_departures = mix->departures();
-        res.metrics.tenant_active = mix->activeTenants();
-    }
-    if (system_->telemetry())
-        res.epochs = system_->telemetry()->records();
+    res.metrics = run.metrics;
+    res.epochs = std::move(run.epochs);
     res.decisions = recorder_.decisions();
     return res;
 }
@@ -232,7 +190,7 @@ TunedRun::saveSnapshot(SnapshotWriter &w) const
     detector_.saveState(w);
     recorder_.saveState(w);
     w.endSection();
-    system_->saveSnapshot(w);
+    system().saveSnapshot(w);
 }
 
 void
@@ -272,7 +230,7 @@ TunedRun::loadSnapshot(SnapshotReader &r)
     // into it — shapes now match the snapshot's sections.
     current_ = t;
     buildSystem(current_);
-    system_->loadSnapshot(r);
+    system().loadSnapshot(r);
 }
 
 } // namespace asd

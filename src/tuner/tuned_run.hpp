@@ -32,12 +32,10 @@
 
 #include "sim/experiment.hpp"
 #include "sim/system.hpp"
-#include "trace/synthetic.hpp"
 #include "tuner/phase_detector.hpp"
 #include "tuner/shadow_tuner.hpp"
 #include "tuner/tuner_recorder.hpp"
 #include "workloads/profiles.hpp"
-#include "workloads/tenant_mix.hpp"
 
 namespace asd
 {
@@ -70,8 +68,8 @@ class TunedRun
 
     TunedRunResult result() const;
 
-    System &system() { return *system_; }
-    const System &system() const { return *system_; }
+    System &system() { return run_->system(); }
+    const System &system() const { return run_->system(); }
 
     const TunerRecorder &recorder() const { return recorder_; }
 
@@ -103,16 +101,10 @@ class TunedRun
     Benchmark bench_;
     RunOptions options_;
     SystemConfig sys_config_; //!< telemetry forced on
-    SyntheticConfig trace_config_;
+    std::uint64_t accesses_; //!< pinned trace length, 0 = derived
 
-    /**
-     * The live trace source: a plain SyntheticTraceGenerator, or a
-     * TenantMixSource when options.tenants.enabled (the shadow forks
-     * build matching sources and restore them from the live
-     * snapshot, so tenant mixes tune like any other workload).
-     */
-    std::unique_ptr<TraceSource> trace_;
-    std::unique_ptr<System> system_;
+    /** The live run, rebuilt in the adopted shape on a restore. */
+    std::unique_ptr<BenchmarkRun> run_;
     std::unique_ptr<ShadowTuner> shadow_;
     PhaseDetector detector_;
     TunerRecorder recorder_;

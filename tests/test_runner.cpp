@@ -511,6 +511,16 @@ TEST(WarmStart, KeyIgnoresMemorySideKnobsOnly)
     JobSpec custom = jobs[0];
     custom.body = [](const JobSpec &) { return RunMetrics{}; };
     EXPECT_FALSE(warmStartEligible(custom));
+
+    // A tenant mix restores like any other trace source, so it
+    // shares a warm-up too, but never with a single-tenant run.
+    JobSpec mix = jobs[0];
+    mix.options.tenants.enabled = true;
+    EXPECT_TRUE(warmStartEligible(mix));
+    EXPECT_NE(warmupKey(jobs[0]), warmupKey(mix));
+    JobSpec mix_larger_pb = mix;
+    mix_larger_pb.options.buffer_lines = 64;
+    EXPECT_EQ(warmupKey(mix), warmupKey(mix_larger_pb));
 }
 
 TEST(WarmStart, KeySeesEveryDigitOfMachineKnobs)
@@ -526,11 +536,16 @@ TEST(WarmStart, KeySeesEveryDigitOfMachineKnobs)
     EXPECT_NE(warmupKey(a), warmupKey(b));
     EXPECT_EQ(warmupKey(a).rfind("asdwarm/v2;", 0), 0u);
 
-    // Tenant and telemetry settings never reach a shared warm-up
-    // (tenant jobs cold-start), but every machine knob does.
+    // Telemetry settings never reach a shared warm-up, but every
+    // machine and trace knob does, the tenant mix's included.
     JobSpec walker = a;
     walker.options.vm.walker = PageWalkerKind::Hashed;
     EXPECT_NE(warmupKey(a), warmupKey(walker));
+    JobSpec mix = a;
+    mix.options.tenants.enabled = true;
+    JobSpec churnier = mix;
+    churnier.options.tenants.mean_lifetime = 49999;
+    EXPECT_NE(warmupKey(mix), warmupKey(churnier));
     JobSpec telemetry = a;
     telemetry.options.telemetry.enabled = true;
     EXPECT_EQ(warmupKey(a), warmupKey(telemetry));
@@ -538,7 +553,13 @@ TEST(WarmStart, KeySeesEveryDigitOfMachineKnobs)
 
 TEST(WarmStart, SweepMatchesColdStartBitForBit)
 {
-    const std::vector<JobSpec> jobs = warmStartGridJobs(3000);
+    std::vector<JobSpec> jobs = warmStartGridJobs(3000);
+    // A tenant mix short-lived enough to churn on both sides of the
+    // warm-up boundary (2 of its 48 departures come before it).
+    RunOptions mix = jobs.back().options;
+    mix.tenants.enabled = true;
+    mix.tenants.mean_lifetime = 40;
+    jobs.push_back(makeJob(jobs.back().bench, mix));
 
     SweepOptions cold_options;
     cold_options.threads = 2;
@@ -562,23 +583,28 @@ TEST(WarmStart, SweepMatchesColdStartBitForBit)
 }
 
 /**
- * Every detailed-study benchmark under PMS, with a warm-up of five
- * cycles per access (about half the run): restoring the warm-up
- * snapshot and finishing gives the cold run's metrics exactly.
+ * Every detailed-study benchmark under PMS with Prefetch Buffers of
+ * 8, 16 and 64 lines, with a warm-up of five cycles per access
+ * (about half the run): restoring the shared warm-up snapshot and
+ * finishing gives the cold run's metrics exactly.
  */
 TEST(WarmStart, EveryDetailedBenchmarkMatchesColdStart)
 {
     constexpr std::uint64_t kAccesses = 4000;
+    WarmupCache cache;
     for (const Benchmark &bench : detailedStudyBenchmarks()) {
-        RunOptions options;
-        options.mode = PrefetchMode::PMS;
-        options.accesses = kAccesses;
-        options.warmup_cycles = 5 * kAccesses;
-        const JobSpec job = makeJob(bench, options);
-        const RunMetrics cold = runBenchmark(bench, options);
-        const RunMetrics warm = runFromSnapshot(job, simulateWarmup(job));
-        EXPECT_GT(cold.cycles, options.warmup_cycles) << bench.name;
-        EXPECT_TRUE(cold == warm) << bench.name;
+        for (const std::uint32_t lines : {8u, 16u, 64u}) {
+            RunOptions options;
+            options.mode = PrefetchMode::PMS;
+            options.buffer_lines = lines;
+            options.accesses = kAccesses;
+            options.warmup_cycles = 5 * kAccesses;
+            const JobSpec job = makeJob(bench, options);
+            const RunMetrics cold = runBenchmark(bench, options);
+            const RunMetrics warm = runWarmStarted(job, cache);
+            EXPECT_GT(cold.cycles, options.warmup_cycles) << job.id;
+            EXPECT_TRUE(cold == warm) << job.id;
+        }
     }
 }
 

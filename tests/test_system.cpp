@@ -255,6 +255,11 @@ TEST(Experiment, SmtPairUsesDistinctSeeds)
     options.accesses = 10000;
     const RunMetrics m = runSmtPair(bench, bench, options);
     EXPECT_EQ(m.accesses, 20000u);
+
+    // A tenant mix is one interleaved trace, never one thread of two.
+    options.tenants.enabled = true;
+    EXPECT_EXIT(runSmtPair(bench, bench, options),
+                testing::ExitedWithCode(1), "cannot run as an SMT pair");
 }
 
 } // namespace

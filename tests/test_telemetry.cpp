@@ -30,9 +30,7 @@ recordedRun(RunOptions options, const char *bench = "bwaves",
 {
     options.telemetry.enabled = true;
     options.accesses = accesses;
-    std::vector<EpochRecord> epochs;
-    runBenchmark(findBenchmark(bench), options, &epochs);
-    return epochs;
+    return BenchmarkRun({findBenchmark(bench)}, options).run().epochs;
 }
 
 TEST(Telemetry, OffByDefaultRecordsNothing)
@@ -40,9 +38,9 @@ TEST(Telemetry, OffByDefaultRecordsNothing)
     RunOptions options;
     options.mode = PrefetchMode::MS;
     options.accesses = 30000;
-    std::vector<EpochRecord> epochs = {EpochRecord{}}; // stale junk
-    runBenchmark(findBenchmark("bwaves"), options, &epochs);
-    EXPECT_TRUE(epochs.empty()); // cleared, nothing recorded
+    const RunResult run =
+        BenchmarkRun({findBenchmark("bwaves")}, options).run();
+    EXPECT_TRUE(run.epochs.empty());
 }
 
 TEST(Telemetry, DisabledSystemHasNoRecorder)
@@ -137,9 +135,7 @@ TEST(Telemetry, RecordingDoesNotPerturbTheRun)
     const RunMetrics plain = runBenchmark(bench, options);
 
     options.telemetry.enabled = true;
-    std::vector<EpochRecord> epochs;
-    const RunMetrics recorded =
-        runBenchmark(bench, options, &epochs);
+    const RunMetrics recorded = runBenchmark(bench, options);
 
     EXPECT_EQ(plain.cycles, recorded.cycles);
     EXPECT_EQ(plain.mc_reads, recorded.mc_reads);
@@ -154,9 +150,10 @@ TEST(Telemetry, EpochDeltasSumBelowRunTotals)
     options.mode = PrefetchMode::MS;
     options.telemetry.enabled = true;
     options.accesses = 40000;
-    std::vector<EpochRecord> epochs;
-    const RunMetrics m =
-        runBenchmark(findBenchmark("bwaves"), options, &epochs);
+    const RunResult run =
+        BenchmarkRun({findBenchmark("bwaves")}, options).run();
+    const RunMetrics &m = run.metrics;
+    const std::vector<EpochRecord> &epochs = run.epochs;
     ASSERT_FALSE(epochs.empty());
     std::uint64_t reads = 0;
     std::uint64_t issued = 0;
